@@ -333,6 +333,10 @@ void FusedAutomaton::Scan(std::string_view stream,
 std::shared_ptr<const FusedSiteExtractor> FusedSiteExtractor::Build(
     std::vector<std::pair<std::string, std::shared_ptr<const CompiledWrapper>>>
         plans) {
+  size_t covered = std::count_if(plans.begin(), plans.end(), [](const auto& p) {
+    return p.second != nullptr && p.second->dom_free();
+  });
+  if (covered < kMinFusedAttributes) return nullptr;
   AcBuilder builder;
   std::vector<Attribute> attributes;
   std::sort(plans.begin(), plans.end(),
@@ -352,15 +356,15 @@ std::shared_ptr<const FusedSiteExtractor> FusedSiteExtractor::Build(
     }
     attributes.push_back(std::move(attr));
   }
-  if (attributes.empty()) return nullptr;
   return std::shared_ptr<const FusedSiteExtractor>(
       new FusedSiteExtractor(builder.Build(), std::move(attributes)));
 }
 
 std::shared_ptr<const FusedSiteExtractor> FusedSiteExtractor::FromBlob(
     std::string_view blob, std::vector<Attribute> attributes) {
+  // Before validation, so a one-attribute site costs no blob walk or copy.
+  if (attributes.size() < kMinFusedAttributes) return nullptr;
   if (!FusedAutomaton::Validate(blob)) return nullptr;
-  if (attributes.empty()) return nullptr;
   FusedAutomaton automaton(blob);
   uint32_t count = automaton.pattern_count();
   for (size_t i = 0; i < attributes.size(); ++i) {

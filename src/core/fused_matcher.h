@@ -26,6 +26,11 @@ namespace ntw::core {
 /// ascending order, as the per-attribute BMH scans (tests/fused_extract_
 /// test.cc pins it, as do the loadgen gate and crawl byte-identity).
 
+/// A site gets a fused extractor only when it covers at least this many
+/// attributes: with one, the scan is one pattern through an Aho–Corasick
+/// automaton, slower than that attribute's own BMH scan (DESIGN.md §15).
+inline constexpr size_t kMinFusedAttributes = 2;
+
 /// Sentinel pattern id for "this plan has no such delimiter" (e.g. an LR
 /// wrapper with an empty left, or an HLRT with no tail).
 inline constexpr uint32_t kNoPattern = 0xFFFFFFFFu;
@@ -108,15 +113,17 @@ class FusedSiteExtractor {
 
   /// Builds automaton + bindings from a site's dom_free plans (directory
   /// backend and hot publishes). Attributes must be sorted by name.
-  /// Returns nullptr when no plan is dom_free.
+  /// Returns nullptr when fewer than kMinFusedAttributes plans are
+  /// dom_free.
   static std::shared_ptr<const FusedSiteExtractor> Build(
       std::vector<std::pair<std::string,
                             std::shared_ptr<const CompiledWrapper>>> plans);
 
   /// Wraps a pre-serialized automaton (a pack's — the blob is copied so
   /// the extractor never outlives its mapping) with externally supplied
-  /// bindings. Returns nullptr if the blob fails validation or a binding
-  /// is out of range.
+  /// bindings. Returns nullptr for fewer than kMinFusedAttributes
+  /// attributes (checked first: no validation, no copy), or if the blob
+  /// fails validation or a binding is out of range.
   static std::shared_ptr<const FusedSiteExtractor> FromBlob(
       std::string_view blob, std::vector<Attribute> attributes);
 

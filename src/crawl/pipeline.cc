@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "crawl/record.h"
-#include "html/arena_dom.h"
-#include "html/parser.h"
 #include "obs/metrics.h"
 
 namespace ntw::crawl {
@@ -22,6 +20,15 @@ struct CrawlMetrics {
   obs::Counter* values_extracted;
   obs::Counter* links_discovered;
   obs::Counter* bytes_fetched;
+  /// Records by extraction route, one add per record: delimiter (LR/HLRT)
+  /// streaming, fused or alone; streaming XPath; and the arena and
+  /// interpreter records by fallback reason. Disjoint, so the five sum
+  /// to records_emitted (serve's streaming_pages also counts XPath).
+  obs::Counter* streaming_pages;
+  obs::Counter* streaming_xpath_pages;
+  obs::Counter* streaming_fallback_disabled;
+  obs::Counter* streaming_fallback_no_plan;
+  obs::Counter* streaming_fallback_unstreamable_xpath;
   obs::Histogram* fetch_latency;
   obs::Histogram* extract_latency;
 
@@ -36,10 +43,37 @@ struct CrawlMetrics {
         registry.GetCounter("ntw.crawl.values_extracted"),
         registry.GetCounter("ntw.crawl.links_discovered"),
         registry.GetCounter("ntw.crawl.bytes_fetched"),
+        registry.GetCounter("ntw.crawl.streaming_pages"),
+        registry.GetCounter("ntw.crawl.streaming_xpath_pages"),
+        registry.GetCounter("ntw.crawl.streaming_fallback_disabled"),
+        registry.GetCounter("ntw.crawl.streaming_fallback_no_plan"),
+        registry.GetCounter("ntw.crawl.streaming_fallback_unstreamable_xpath"),
         registry.GetHistogram("ntw.crawl.fetch_latency_micros"),
         registry.GetHistogram("ntw.crawl.extract_latency_micros"),
     };
     return m;
+  }
+
+  obs::Counter* RouteCounter(const core::ExtractionRouter::Page& page) const {
+    switch (page.route()) {
+      case core::ExtractRoute::kStreamingDelimiter:
+        return streaming_pages;
+      case core::ExtractRoute::kStreamingXPath:
+        return streaming_xpath_pages;
+      case core::ExtractRoute::kArena:
+      case core::ExtractRoute::kInterpreter:
+        break;
+    }
+    switch (page.fallback()) {
+      case core::StreamingFallback::kNoPlan:
+        return streaming_fallback_no_plan;
+      case core::StreamingFallback::kUnstreamableXPath:
+        return streaming_fallback_unstreamable_xpath;
+      case core::StreamingFallback::kDisabled:
+      case core::StreamingFallback::kNone:
+        break;
+    }
+    return streaming_fallback_disabled;
   }
 };
 
@@ -47,24 +81,6 @@ int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-/// Interpreted fallback, mirroring the serving path: heap DOM parse +
-/// Wrapper::Extract, values materialized as strings.
-std::vector<std::string> ExtractValuesInterpreted(
-    const core::Wrapper& wrapper, const std::string& page_html) {
-  Result<html::Document> doc = html::Parse(page_html);
-  if (!doc.ok()) return {};
-  core::PageSet pages;
-  pages.AddPage(std::move(*doc));
-  core::NodeSet extraction = wrapper.Extract(pages);
-  std::vector<std::string> values;
-  values.reserve(extraction.size());
-  for (const core::NodeRef& ref : extraction) {
-    const html::Node* node = pages.Resolve(ref);
-    if (node != nullptr) values.push_back(node->text());
-  }
-  return values;
 }
 
 }  // namespace
@@ -99,7 +115,9 @@ CrawlPipeline::CrawlPipeline(const serve::WrapperRepository* repository,
           FrontierOptions{options_.allow, options_.deny, options_.max_depth,
                           options_.max_pages, options_.domain_parallelism},
           &limiter_),
-      robots_(options_.robots_ttl_seconds) {
+      robots_(options_.robots_ttl_seconds),
+      router_(core::ExtractionRouter::Options{
+          options_.fast_path, options_.streaming, options_.fused}) {
   if (options_.workers < 1) options_.workers = 1;
   // A full emit window must always contain a seq some worker owns.
   if (options_.emit_window <= static_cast<size_t>(options_.workers)) {
@@ -140,101 +158,48 @@ bool CrawlPipeline::RobotsAllows(const Url& url) {
   }
 }
 
-void CrawlPipeline::ExtractPage(const serve::WrapperRepository::Entry& entry,
-                                std::string_view site,
-                                std::string_view attribute,
-                                const std::string& url,
-                                const std::string& body, int64_t fetch_micros,
-                                std::string* chunk) {
-  CrawlMetrics& metrics = CrawlMetrics::Get();
-  auto start = std::chrono::steady_clock::now();
-  RecordTiming timing;
-  timing.enabled = options_.timing;
-  timing.fetch_micros = fetch_micros;
-
-  // The serving stack's three extraction tiers, byte-identical by the
-  // fastpath/streaming equivalence contracts.
-  size_t value_count = 0;
-  if (options_.fast_path && options_.streaming && entry.compiled != nullptr &&
-      entry.compiled->dom_free()) {
-    core::StreamBufferPool::Lease lease = stream_buffers_.Acquire();
-    entry.compiled->ExtractStreaming(body, *lease, &lease->values);
-    timing.extract_micros = MicrosSince(start);
-    AppendRecordLine(site, url, attribute, lease->values, timing, chunk);
-    value_count = lease->values.size();
-    if (options_.self_heal && entry.drift != nullptr) {
-      ObserveDriftSample(entry, body, lease->values.data(),
-                         lease->values.size());
-    }
-  } else if (options_.fast_path && entry.compiled != nullptr) {
-    core::FastBufferPool::Lease lease = buffers_.Acquire();
-    html::ArenaParse(body, &lease->doc);
-    entry.compiled->Extract(*lease, &lease->values);
-    timing.extract_micros = MicrosSince(start);
-    AppendRecordLine(site, url, attribute, lease->values, timing, chunk);
-    value_count = lease->values.size();
-    if (options_.self_heal && entry.drift != nullptr) {
-      ObserveDriftSample(entry, body, lease->values.data(),
-                         lease->values.size());
-    }
-  } else {
-    std::vector<std::string> values =
-        ExtractValuesInterpreted(*entry.wrapper, body);
-    timing.extract_micros = MicrosSince(start);
-    std::vector<std::string_view> views(values.begin(), values.end());
-    AppendRecordLine(site, url, attribute, views, timing, chunk);
-    value_count = views.size();
-    if (options_.self_heal && entry.drift != nullptr) {
-      ObserveDriftSample(entry, body, views.data(), views.size());
-    }
-  }
-  metrics.extract_latency->Record(timing.extract_micros);
-  metrics.records_emitted->Add(1);
-  metrics.values_extracted->Add(static_cast<int64_t>(value_count));
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.records_emitted;
-  stats_.values_extracted += static_cast<int64_t>(value_count);
-}
-
-void CrawlPipeline::ExtractSiteFused(
-    const core::FusedSiteExtractor& fused,
+void CrawlPipeline::ExtractSite(
+    const core::FusedSiteExtractor* fused,
     const std::vector<
         std::pair<std::string, const serve::WrapperRepository::Entry*>>&
         entries,
     std::string_view site, const std::string& url, const std::string& body,
     int64_t fetch_micros, std::string* chunk) {
   CrawlMetrics& metrics = CrawlMetrics::Get();
+  RecordTiming timing;
+  timing.enabled = options_.timing;
+  timing.fetch_micros = fetch_micros;
   auto start = std::chrono::steady_clock::now();
-  core::StreamBufferPool::Lease page = stream_buffers_.Acquire();
-  core::FusedScratchPool::Lease scratch = fused_scratch_.Acquire();
-  fused.ExtractAllStreaming(body, *page, *scratch);
+  core::ExtractionRouter::SiteScan scan = router_.ScanSite(fused, body);
   // The scan cost is shared by every attribute it served; each record
   // reports the whole scan (timing is off on byte-identity runs anyway).
   int64_t scan_micros = MicrosSince(start);
   int64_t records = 0;
+  int64_t fused_records = 0;
   int64_t value_total = 0;
   for (const auto& [attribute, entry] : entries) {
-    size_t index = fused.FindAttribute(attribute);
-    if (index == std::string_view::npos) {
-      // Not automaton-covered (tree plan, or no compiled form): the
-      // regular per-attribute tiers, emitted in place so the line order
-      // matches the non-fused loop exactly.
-      ExtractPage(*entry, site, attribute, url, body, fetch_micros, chunk);
+    if (!options_.attribute.empty() && attribute != options_.attribute) {
       continue;
     }
-    const std::vector<std::string_view>& values = scratch->values[index];
-    RecordTiming timing;
-    timing.enabled = options_.timing;
-    timing.fetch_micros = fetch_micros;
-    timing.extract_micros = scan_micros;
+    start = std::chrono::steady_clock::now();
+    core::ExtractionRouter::Page page =
+        scan.Extract(attribute, *entry->wrapper, entry->compiled.get());
+    timing.extract_micros = page.fused() ? scan_micros : MicrosSince(start);
+    const std::vector<std::string_view>& values = page.values();
     AppendRecordLine(site, url, attribute, values, timing, chunk);
     if (options_.self_heal && entry->drift != nullptr) {
       ObserveDriftSample(*entry, body, values.data(), values.size());
     }
-    metrics.extract_latency->Record(scan_micros);
+    metrics.extract_latency->Record(timing.extract_micros);
+    if (page.fused()) {
+      ++fused_records;
+    } else {
+      metrics.RouteCounter(page)->Add(1);
+    }
     ++records;
     value_total += static_cast<int64_t>(values.size());
   }
+  if (fused_records > 0) metrics.streaming_pages->Add(fused_records);
   metrics.records_emitted->Add(records);
   metrics.values_extracted->Add(value_total);
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -318,22 +283,11 @@ void CrawlPipeline::ProcessItem(FrontierItem* item, std::string* chunk) {
     std::vector<std::pair<std::string, const serve::WrapperRepository::Entry*>>
         entries = snapshot->MaterializeSite(site);
     std::shared_ptr<const core::FusedSiteExtractor> fused;
-    if (options_.fast_path && options_.streaming && options_.fused &&
-        options_.attribute.empty() && entries.size() >= 2) {
+    if (router_.fused_enabled() && options_.attribute.empty()) {
       fused = snapshot->FindFused(site);
     }
-    if (fused != nullptr && !fused->attributes().empty()) {
-      ExtractSiteFused(*fused, entries, site, serialized, fetched.body,
-                       fetched.latency_micros, chunk);
-    } else {
-      for (const auto& [attribute, entry] : entries) {
-        if (!options_.attribute.empty() && attribute != options_.attribute) {
-          continue;
-        }
-        ExtractPage(*entry, site, attribute, serialized, fetched.body,
-                    fetched.latency_micros, chunk);
-      }
-    }
+    ExtractSite(fused.get(), entries, site, serialized, fetched.body,
+                fetched.latency_micros, chunk);
   }
   repository_->ReclaimRetired();
 

@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/compiled_wrapper.h"
-#include "core/fused_matcher.h"
+#include "core/extraction_router.h"
 #include "crawl/fetcher.h"
 #include "crawl/frontier.h"
 #include "crawl/robots.h"
@@ -48,10 +47,10 @@ struct CrawlOptions {
   bool fast_path = true;
   bool streaming = true;
   /// Scan each page once with the site's fused multi-pattern automaton
-  /// when it has several dom_free wrappers (DESIGN.md §15), instead of
-  /// one BMH pass per attribute. Only consulted when fast_path and
-  /// streaming are on and no single `attribute` filter applies. Output
-  /// bytes are identical either way.
+  /// when it covers two or more dom_free wrappers (DESIGN.md §15),
+  /// instead of one BMH pass per attribute. Only consulted when fast_path
+  /// and streaming are on and no single `attribute` filter applies.
+  /// Output bytes are identical either way.
   bool fused = true;
   /// Feed drift detectors and enqueue re-induction (needs a reinducer).
   bool self_heal = false;
@@ -110,9 +109,10 @@ class EmitQueue {
 };
 
 /// The fetch→extract→emit workload (DESIGN.md §14): a frontier-driven
-/// crawl over file:// and http:// origins that reuses the serving stack's
-/// extraction tiers (streaming no-DOM → arena fast path → interpreted,
-/// all byte-identical) against a WrapperRepository snapshot, and emits
+/// crawl over file:// and http:// origins that extracts through the
+/// serving stack's core::ExtractionRouter (streaming no-DOM for LR/HLRT
+/// and streamable XPath → arena fast path → interpreted, all
+/// byte-identical) against a WrapperRepository snapshot, and emits
 /// one ntw-crawl-record NDJSON line per (page, attribute) in frontier
 /// dispatch order. Given a fixed seed order the output bytes are
 /// independent of worker count.
@@ -137,16 +137,12 @@ class CrawlPipeline {
   /// file:// — a local corpus has no origin to be polite to). Fetches and
   /// caches robots.txt on demand.
   bool RobotsAllows(const Url& url);
-  void ExtractPage(const serve::WrapperRepository::Entry& entry,
-                   std::string_view site, std::string_view attribute,
-                   const std::string& url, const std::string& body,
-                   int64_t fetch_micros, std::string* chunk);
-  /// Fused multi-attribute extraction: one automaton scan of `body`
-  /// yields every dom_free attribute's values; attributes the automaton
-  /// does not cover fall back to ExtractPage. Lines are emitted in the
-  /// same ascending attribute order as the per-attribute loop.
-  void ExtractSiteFused(
-      const core::FusedSiteExtractor& fused,
+  /// Extracts every wrapper of `site` (or the one `attribute` filter)
+  /// from `body` through the router: one fused scan for the attributes
+  /// `fused` covers (when non-null), the per-attribute route for the
+  /// rest. Lines are emitted in ascending attribute order either way.
+  void ExtractSite(
+      const core::FusedSiteExtractor* fused,
       const std::vector<
           std::pair<std::string, const serve::WrapperRepository::Entry*>>&
           entries,
@@ -173,11 +169,9 @@ class CrawlPipeline {
   std::mutex stats_mu_;
   CrawlStats stats_;
 
-  // Reusable extraction buffers; internally synchronized pools shared by
-  // all workers of this pipeline.
-  mutable core::FastBufferPool buffers_;
-  mutable core::StreamBufferPool stream_buffers_;
-  mutable core::FusedScratchPool fused_scratch_;
+  // The extraction ladder serve uses, with buffer pools shared by all
+  // workers of this pipeline (internally synchronized).
+  core::ExtractionRouter router_;
 };
 
 }  // namespace ntw::crawl

@@ -6,8 +6,6 @@
 
 #include "common/obs_export.h"
 #include "common/strings.h"
-#include "html/arena_dom.h"
-#include "html/parser.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "serve/ndjson.h"
@@ -75,24 +73,6 @@ struct ServiceMetrics {
   }
 };
 
-/// Interpreted path: heap DOM parse + Wrapper::Extract. Returns the
-/// extracted text values in document order.
-std::vector<std::string> ExtractValuesInterpreted(const core::Wrapper& wrapper,
-                                                  const std::string& page_html) {
-  Result<html::Document> doc = html::Parse(page_html);
-  if (!doc.ok()) return {};
-  core::PageSet pages;
-  pages.AddPage(std::move(*doc));
-  core::NodeSet extraction = wrapper.Extract(pages);
-  std::vector<std::string> values;
-  values.reserve(extraction.size());
-  for (const core::NodeRef& ref : extraction) {
-    const html::Node* node = pages.Resolve(ref);
-    if (node != nullptr) values.push_back(node->text());
-  }
-  return values;
-}
-
 /// Resolves the (site, attribute) pair from the query string against a
 /// snapshot. On failure fills `error` with the response to send.
 const WrapperRepository::Entry* LookupWrapper(
@@ -134,12 +114,9 @@ int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-/// Extracts from one page and writes the `"values":[...]` member.
-/// Streaming no-DOM path for dom_free() and streamable() XPath plans
-/// when enabled; arena fast path (arena DOM + compiled plan) otherwise
-/// when enabled and the entry carries a plan; interpreted as the final
-/// fallback. All paths produce identical JSON bytes — views and strings
-/// serialize the same.
+/// Extracts from one page and writes the `"values":[...]` member. The
+/// router picks the route (DESIGN.md §12); every route produces the same
+/// JSON bytes.
 void ExtractService::ExtractToJson(const WrapperRepository::Entry& entry,
                                    const std::string& page_html,
                                    obs::JsonWriter& json) const {
@@ -150,85 +127,83 @@ void ExtractService::ExtractToJson(const WrapperRepository::Entry& entry,
 void ExtractService::ExtractArray(const WrapperRepository::Entry& entry,
                                   const std::string& page_html,
                                   obs::JsonWriter& json) const {
+  auto start = std::chrono::steady_clock::now();
+  WritePage(entry, page_html,
+            router_.Extract(*entry.wrapper, entry.compiled.get(), page_html),
+            start, json);
+}
+
+void ExtractService::WritePage(const WrapperRepository::Entry& entry,
+                               const std::string& page_html,
+                               const core::ExtractionRouter::Page& page,
+                               std::chrono::steady_clock::time_point start,
+                               obs::JsonWriter& json) const {
   ServiceMetrics& metrics = ServiceMetrics::Get();
   int shard = options_.shard;
-  auto start = std::chrono::steady_clock::now();
-  if (options_.fast_path && options_.streaming && entry.compiled != nullptr &&
-      (entry.compiled->dom_free() || entry.compiled->streamable())) {
-    // Streaming no-DOM path: BMH over the StreamPage-built stream for
-    // dom_free() plans, the fused tokenize→plan-execute machine for
-    // streamable() XPath programs — neither builds an arena DOM. On the
-    // zero-copy tier the values alias `page_html` directly — which
-    // outlives the lease here.
-    core::StreamBufferPool::Lease lease = stream_buffers_.Acquire();
-    entry.compiled->ExtractStreaming(page_html, *lease, &lease->values);
+  // A fused scan's latency and route were counted once for the page.
+  if (!page.fused()) {
     metrics.extract_latency->Record(shard, MicrosSince(start));
-    json.BeginArray();
-    for (std::string_view value : lease->values) json.String(value);
-    json.EndArray();
-    metrics.pages_extracted->Add(shard, 1);
-    metrics.values_extracted->Add(shard,
-                                  static_cast<int64_t>(lease->values.size()));
-    ObserveDrift(entry, page_html, lease->values.data(),
-                 lease->values.size());
-    metrics.streaming_pages->Add(shard, 1);
-    if (!entry.compiled->dom_free()) {
-      // Fused XPath never Builds the StreamPage, so the tier counters
-      // (which would read a stale tier) do not apply.
-      metrics.streaming_xpath_pages->Add(shard, 1);
-    } else {
-      switch (lease->page.tier()) {
-        case html::StreamPage::Tier::kVerbatim:
-          metrics.streaming_verbatim_pages->Add(shard, 1);
-          break;
-        case html::StreamPage::Tier::kPatched:
-          metrics.streaming_patched_pages->Add(shard, 1);
-          break;
-        case html::StreamPage::Tier::kFlattened:
-          metrics.streaming_flattened_pages->Add(shard, 1);
-          break;
-      }
-    }
-    return;
+    CountRoute(page);
   }
-  // Off the streaming path: attribute the fallback to its reason.
-  if (!options_.fast_path || !options_.streaming) {
-    metrics.streaming_fallback_disabled->Add(shard, 1);
-  } else if (entry.compiled == nullptr) {
-    metrics.streaming_fallback_no_plan->Add(shard, 1);
-  } else {
-    metrics.streaming_fallback_unstreamable_xpath->Add(shard, 1);
-  }
-  if (options_.fast_path && entry.compiled != nullptr) {
-    core::FastBufferPool::Lease lease = buffers_.Acquire();
-    html::ArenaParse(page_html, &lease->doc);
-    entry.compiled->Extract(*lease, &lease->values);
-    metrics.extract_latency->Record(shard, MicrosSince(start));
-    json.BeginArray();
-    for (std::string_view value : lease->values) json.String(value);
-    json.EndArray();
-    metrics.pages_extracted->Add(shard, 1);
-    metrics.values_extracted->Add(shard,
-                                  static_cast<int64_t>(lease->values.size()));
-    ObserveDrift(entry, page_html, lease->values.data(),
-                 lease->values.size());
-    const Arena& arena = lease->doc.arena();
-    metrics.arena_bytes_reused->Add(
-        shard, static_cast<int64_t>(arena.used() - arena.fresh_bytes()));
-    return;
-  }
-  std::vector<std::string> values =
-      ExtractValuesInterpreted(*entry.wrapper, page_html);
-  metrics.extract_latency->Record(shard, MicrosSince(start));
+  const std::vector<std::string_view>& values = page.values();
   json.BeginArray();
-  for (const std::string& value : values) json.String(value);
+  for (std::string_view value : values) json.String(value);
   json.EndArray();
   metrics.pages_extracted->Add(shard, 1);
   metrics.values_extracted->Add(shard, static_cast<int64_t>(values.size()));
-  // The interpreted path already allocates per request; a small view
-  // vector for the detector is in character.
-  std::vector<std::string_view> views(values.begin(), values.end());
-  ObserveDrift(entry, page_html, views.data(), views.size());
+  ObserveDrift(entry, page_html, values.data(), values.size());
+}
+
+void ExtractService::CountRoute(
+    const core::ExtractionRouter::Page& page) const {
+  ServiceMetrics& metrics = ServiceMetrics::Get();
+  int shard = options_.shard;
+  switch (page.route()) {
+    case core::ExtractRoute::kStreamingDelimiter:
+      metrics.streaming_pages->Add(shard, 1);
+      CountTier(page.tier());
+      return;
+    case core::ExtractRoute::kStreamingXPath:
+      // Fused XPath never Builds the StreamPage, so the tier counters
+      // (which would read a stale tier) do not apply.
+      metrics.streaming_pages->Add(shard, 1);
+      metrics.streaming_xpath_pages->Add(shard, 1);
+      return;
+    case core::ExtractRoute::kArena:
+      metrics.arena_bytes_reused->Add(shard, page.arena_bytes_reused());
+      break;
+    case core::ExtractRoute::kInterpreter:
+      break;
+  }
+  // Off the streaming path: attribute the fallback to its reason.
+  switch (page.fallback()) {
+    case core::StreamingFallback::kDisabled:
+      metrics.streaming_fallback_disabled->Add(shard, 1);
+      break;
+    case core::StreamingFallback::kNoPlan:
+      metrics.streaming_fallback_no_plan->Add(shard, 1);
+      break;
+    case core::StreamingFallback::kUnstreamableXPath:
+      metrics.streaming_fallback_unstreamable_xpath->Add(shard, 1);
+      break;
+    case core::StreamingFallback::kNone:
+      break;
+  }
+}
+
+void ExtractService::CountTier(html::StreamPage::Tier tier) const {
+  ServiceMetrics& metrics = ServiceMetrics::Get();
+  switch (tier) {
+    case html::StreamPage::Tier::kVerbatim:
+      metrics.streaming_verbatim_pages->Add(options_.shard, 1);
+      break;
+    case html::StreamPage::Tier::kPatched:
+      metrics.streaming_patched_pages->Add(options_.shard, 1);
+      break;
+    case html::StreamPage::Tier::kFlattened:
+      metrics.streaming_flattened_pages->Add(options_.shard, 1);
+      break;
+  }
 }
 
 void ExtractService::ExtractAllToJson(
@@ -239,54 +214,27 @@ void ExtractService::ExtractAllToJson(
   ServiceMetrics& metrics = ServiceMetrics::Get();
   int shard = options_.shard;
   std::shared_ptr<const core::FusedSiteExtractor> fused;
-  if (options_.fast_path && options_.streaming && options_.fused) {
-    fused = snapshot.FindFused(site);
-  }
-  json.Key("attributes");
-  json.BeginObject();
-  if (fused != nullptr && !fused->attributes().empty()) {
-    // One automaton pass yields every dom_free attribute's occurrence
-    // lists; attributes the automaton does not cover (tree plans, or no
-    // compiled form) fall through to per-attribute extraction below.
-    auto start = std::chrono::steady_clock::now();
-    core::StreamBufferPool::Lease page = stream_buffers_.Acquire();
-    core::FusedScratchPool::Lease scratch = fused_scratch_.Acquire();
-    fused->ExtractAllStreaming(page_html, *page, *scratch);
+  if (router_.fused_enabled()) fused = snapshot.FindFused(site);
+  // One automaton pass yields every covered attribute's values; the
+  // attributes it does not cover (tree plans, or no compiled form) and
+  // the fused-off path route per attribute.
+  auto start = std::chrono::steady_clock::now();
+  core::ExtractionRouter::SiteScan scan =
+      router_.ScanSite(fused.get(), page_html);
+  if (scan.scanned()) {
     metrics.extract_latency->Record(shard, MicrosSince(start));
     metrics.fused_scans->Add(shard, 1);
     metrics.streaming_pages->Add(shard, 1);
-    switch (page->page.tier()) {
-      case html::StreamPage::Tier::kVerbatim:
-        metrics.streaming_verbatim_pages->Add(shard, 1);
-        break;
-      case html::StreamPage::Tier::kPatched:
-        metrics.streaming_patched_pages->Add(shard, 1);
-        break;
-      case html::StreamPage::Tier::kFlattened:
-        metrics.streaming_flattened_pages->Add(shard, 1);
-        break;
-    }
-    for (const auto& [name, entry] : entries) {
-      json.Key(name);
-      size_t index = fused->FindAttribute(name);
-      if (index == std::string_view::npos) {
-        ExtractArray(*entry, page_html, json);
-        continue;
-      }
-      const std::vector<std::string_view>& values = scratch->values[index];
-      json.BeginArray();
-      for (std::string_view value : values) json.String(value);
-      json.EndArray();
-      metrics.pages_extracted->Add(shard, 1);
-      metrics.values_extracted->Add(shard,
-                                    static_cast<int64_t>(values.size()));
-      ObserveDrift(*entry, page_html, values.data(), values.size());
-    }
-  } else {
-    for (const auto& [name, entry] : entries) {
-      json.Key(name);
-      ExtractArray(*entry, page_html, json);
-    }
+    CountTier(scan.tier());
+  }
+  json.Key("attributes");
+  json.BeginObject();
+  for (const auto& [name, entry] : entries) {
+    json.Key(name);
+    start = std::chrono::steady_clock::now();
+    WritePage(*entry, page_html,
+              scan.Extract(name, *entry->wrapper, entry->compiled.get()),
+              start, json);
   }
   json.EndObject();
 }

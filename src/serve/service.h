@@ -1,11 +1,11 @@
 #ifndef NTW_SERVE_SERVICE_H_
 #define NTW_SERVE_SERVICE_H_
 
+#include <chrono>
 #include <string_view>
 
 #include "common/thread_pool.h"
-#include "core/compiled_wrapper.h"
-#include "core/fused_matcher.h"
+#include "core/extraction_router.h"
 #include "obs/json.h"
 #include "serve/http.h"
 #include "serve/reinduce.h"
@@ -30,23 +30,20 @@ namespace ntw::serve {
 /// bytes, whatever the concurrency (the batch fan-out writes pre-sized
 /// per-line slots that are joined in input order).
 ///
-/// Extraction runs on the compiled fast path by default (arena DOM +
-/// CompiledWrapper plans from the repository snapshot, with per-request
-/// buffer reuse via a pool); `Options{.fast_path = false}` — the daemon's
-/// --no-fast-path — forces the interpreted Wrapper::Extract path. On top
-/// of that, dom_free() plans (LR/HLRT — DESIGN.md §12) default to the
-/// streaming no-DOM path: the request body goes through StreamPage
-/// (zero-copy when the bytes are already canonical, fused
-/// tokenize→flatten otherwise) and never builds an arena DOM — and
-/// streamable() XPath plans run the fused tokenize→plan-execute machine
-/// straight off the tokenizer event stream, likewise DOM-free;
-/// `streaming = false` — the daemon's --no-streaming — drops both back
-/// to the arena fast path. All paths are byte-identical by contract,
+/// Extraction goes through core::ExtractionRouter, the ladder the crawl
+/// and ntw_extract share: by default dom_free() plans (LR/HLRT —
+/// DESIGN.md §12) stream over a StreamPage and streamable() XPath plans
+/// run the fused tokenize→plan-execute machine, neither building a DOM;
+/// other compiled plans take the arena fast path, and entries without a
+/// plan the interpreter. `streaming = false` — the daemon's
+/// --no-streaming — pins compiled plans to the arena path, and
+/// `fast_path = false` — --no-fast-path — forces the interpreted
+/// Wrapper::Extract path. All routes are byte-identical by contract,
 /// pinned by tests/fastpath_equivalence_test.cc,
 /// tests/streaming_equivalence_test.cc and the ntw_loadgen cross-check.
 ///
 /// Sharding (DESIGN.md §11): the daemon instantiates one ExtractService
-/// per reactor shard, so each shard's requests reuse a FastBufferPool no
+/// per reactor shard, so each shard's requests reuse buffer pools no
 /// other shard touches and account to per-shard metric stripes
 /// (`Options::shard`). The repository is shared — reads go through its
 /// wait-free epoch pin, never a lock.
@@ -66,8 +63,9 @@ struct ExtractServiceOptions {
   bool self_heal = true;
   /// `attribute=*` requests: scan the page once with the site's fused
   /// multi-pattern automaton (DESIGN.md §15) instead of once per
-  /// attribute. Only consulted when fast_path and streaming are on; the
-  /// daemon's --no-fused turns it off. Byte-identical either way.
+  /// attribute, for sites with two or more dom_free plans. Only
+  /// consulted when fast_path and streaming are on; the daemon's
+  /// --no-fused turns it off. Byte-identical either way.
   /// (Declared last — see `streaming`.)
   bool fused = true;
 };
@@ -81,7 +79,9 @@ class ExtractService {
       : repository_(repository),
         pool_(pool),
         options_(options),
-        reinducer_(reinducer) {}
+        reinducer_(reinducer),
+        router_(core::ExtractionRouter::Options{
+            options.fast_path, options.streaming, options.fused}) {}
 
   HttpResponse Handle(const HttpRequest& request) const;
 
@@ -103,10 +103,20 @@ class ExtractService {
   /// metrics + drift feed); the caller has already written the key.
   void ExtractArray(const WrapperRepository::Entry& entry,
                     const std::string& page_html, obs::JsonWriter& json) const;
+  /// Writes one routed page's `[...]` array and feeds its counters and
+  /// drift detector; `start` is when its extraction began.
+  void WritePage(const WrapperRepository::Entry& entry,
+                 const std::string& page_html,
+                 const core::ExtractionRouter::Page& page,
+                 std::chrono::steady_clock::time_point start,
+                 obs::JsonWriter& json) const;
+  /// The route and fallback-reason counters of one page.
+  void CountRoute(const core::ExtractionRouter::Page& page) const;
+  void CountTier(html::StreamPage::Tier tier) const;
   /// Writes the `"attributes":{"a":[...],...}` member for every attribute
-  /// of `site`, ascending. One fused automaton scan covers all dom_free
-  /// plans when enabled; the rest (and the fused-off path) extract
-  /// per-attribute through ExtractArray — byte-identical by contract.
+  /// of `site`, ascending. One fused automaton scan covers the site's
+  /// dom_free plans when enabled; the rest (and the fused-off path) route
+  /// per attribute — byte-identical by contract.
   void ExtractAllToJson(
       const WrapperRepository::Snapshot& snapshot, const std::string& site,
       const std::vector<std::pair<std::string, const WrapperRepository::Entry*>>&
@@ -123,15 +133,10 @@ class ExtractService {
   ThreadPool* pool_;
   Options options_;
   ReinduceWorker* reinducer_ = nullptr;
-  // Reusable per-request fast-path buffers (arena DOM + scratch); the pool
-  // is internally synchronized, so Handle() stays const and thread-safe.
-  // One pool per service instance — per shard in the sharded daemon.
-  mutable core::FastBufferPool buffers_;
-  // Lighter buffers (stream page + values) for the streaming no-DOM path.
-  mutable core::StreamBufferPool stream_buffers_;
-  // Occurrence lists + per-attribute value slots for fused multi-attribute
-  // extraction (attribute=*).
-  mutable core::FusedScratchPool fused_scratch_;
+  // The extraction ladder and its buffer pools (internally synchronized,
+  // so Handle() stays const and thread-safe). One per service instance —
+  // per shard in the sharded daemon.
+  core::ExtractionRouter router_;
 };
 
 }  // namespace ntw::serve

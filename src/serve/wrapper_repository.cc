@@ -264,8 +264,8 @@ WrapperRepository::Snapshot::FindFused(const std::string& site) const {
     }
     fused = core::FusedSiteExtractor::Build(std::move(merged));
   }
-  // Cache even a null result (site exists, nothing dom_free): the
-  // lookup answer is stable for the snapshot's lifetime.
+  // Cache even a null result (site exists, fewer than two dom_free
+  // plans): the lookup answer is stable for the snapshot's lifetime.
   fused_cache_[site] = fused;
   return fused;
 }

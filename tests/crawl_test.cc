@@ -22,6 +22,7 @@
 #include "common/thread_pool.h"
 #include "crawl/pipeline.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/static_files.h"
@@ -102,6 +103,72 @@ TEST_F(CrawlTest, ByteIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(Crawl(options, {IndexSeed()}), serial)
         << workers << " workers diverged from serial";
   }
+}
+
+// The crawl takes serve's routes through the shared extraction router:
+// every origin plan is streamable (XPath `name`) or dom_free (LR
+// `name_lr`), so every record streams — and the bytes equal the heap-DOM
+// interpreter's at every worker count. The route counters are disjoint
+// and sum to the records emitted.
+TEST_F(CrawlTest, StreamingRoutesMatchInterpreterAndCountEveryRecord) {
+  auto pin = repository_->Pin();
+  for (const auto& [key, entry] : pin->wrappers) {
+    ASSERT_NE(entry.compiled, nullptr) << key.first << "/" << key.second;
+    EXPECT_TRUE(entry.compiled->dom_free() || entry.compiled->streamable())
+        << key.first << "/" << key.second;
+  }
+
+  CrawlOptions reference;
+  reference.max_depth = 1;
+  reference.workers = 1;
+  reference.fast_path = false;
+  std::string interpreted = Crawl(reference, {IndexSeed()});
+  ASSERT_FALSE(interpreted.empty());
+
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter* counters[] = {
+      registry.GetCounter("ntw.crawl.streaming_pages"),
+      registry.GetCounter("ntw.crawl.streaming_xpath_pages"),
+      registry.GetCounter("ntw.crawl.streaming_fallback_disabled"),
+      registry.GetCounter("ntw.crawl.streaming_fallback_no_plan"),
+      registry.GetCounter("ntw.crawl.streaming_fallback_unstreamable_xpath"),
+  };
+  auto snapshot = [&] {
+    std::vector<int64_t> values;
+    for (const obs::Counter* counter : counters) {
+      values.push_back(counter->value());
+    }
+    return values;
+  };
+  auto deltas = [&](std::vector<int64_t> before) {
+    std::vector<int64_t> after = snapshot();
+    for (size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+
+  for (int workers : {1, 2, 4}) {
+    CrawlOptions options;
+    options.max_depth = 1;
+    options.workers = workers;
+    std::vector<int64_t> before = snapshot();
+    CrawlStats stats;
+    EXPECT_EQ(Crawl(options, {IndexSeed()}, &stats), interpreted)
+        << workers << " workers diverged from the interpreter";
+    // 16 pages: one LR and one XPath record each, all streamed.
+    EXPECT_EQ(stats.records_emitted, 32);
+    EXPECT_EQ(deltas(before), (std::vector<int64_t>{16, 16, 0, 0, 0}))
+        << workers << " workers";
+  }
+
+  // --no-streaming pins both plans to the arena DOM; same bytes, and the
+  // records count as disabled fallbacks.
+  CrawlOptions arena;
+  arena.max_depth = 1;
+  arena.workers = 2;
+  arena.streaming = false;
+  std::vector<int64_t> before = snapshot();
+  EXPECT_EQ(Crawl(arena, {IndexSeed()}), interpreted);
+  EXPECT_EQ(deltas(before), (std::vector<int64_t>{0, 0, 32, 0, 0}));
 }
 
 TEST_F(CrawlTest, EmissionFollowsFrontierDispatchOrder) {

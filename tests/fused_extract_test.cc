@@ -4,7 +4,10 @@
 // everything built on it — FusedSiteExtractor (in-memory and pack-blob
 // variants), the repository's FindFused on both backends, and the
 // service's `attribute=*` endpoint with the fused scan on or off — must
-// return the same bytes as the per-attribute path.
+// return the same bytes as the per-attribute path. Sites covering fewer
+// than two attributes get no fused extractor at all.
+
+#include <sys/mman.h>
 
 #include <filesystem>
 #include <map>
@@ -165,6 +168,71 @@ TEST(FusedSiteExtractorTest, FromBlobMatchesBuild) {
             nullptr);
 }
 
+// Compiles the `<root>/<site>/<attribute>.wrapper` tree into a pack.
+void WritePackFromDirectory(const std::string& root, const std::string& pack) {
+  core::WrapperPackBuilder builder;
+  auto site_dirs = ListSubdirectories(root);
+  ASSERT_TRUE(site_dirs.ok());
+  for (const std::string& site_dir : *site_dirs) {
+    std::string site = std::filesystem::path(site_dir).filename().string();
+    auto files = ListFiles(site_dir, kSuffix);
+    ASSERT_TRUE(files.ok());
+    for (const std::string& file : *files) {
+      std::string attr = std::filesystem::path(file).filename().string();
+      attr.resize(attr.size() - (sizeof(kSuffix) - 1));
+      auto record = ReadFile(file);
+      ASSERT_TRUE(record.ok());
+      ASSERT_TRUE(builder.Add(site, attr, *record).ok());
+    }
+  }
+  ASSERT_TRUE(builder.WriteFile(pack).ok());
+}
+
+serve::HttpRequest MultiAttributeRequest(const std::string& site,
+                                         std::string page) {
+  serve::HttpRequest request;
+  request.method = "POST";
+  request.target = "/extract?site=" + site + "&attribute=*";
+  request.path = "/extract";  // The server's parser fills these in.
+  request.query = {{"site", site}, {"attribute", "*"}};
+  request.body = std::move(page);
+  return request;
+}
+
+// One covered attribute is not worth an automaton: its own BMH scan is
+// cheaper than a one-pattern Aho–Corasick pass, so both constructors
+// decline, and FromBlob declines before it reads the blob.
+TEST(FusedSiteExtractorTest, FewerThanTwoCoveredAttributesGetNoExtractor) {
+  core::CompiledWrapper::XPathStepSpec step;
+  step.descendant = true;
+  step.tag = "b";
+  auto xpath = core::CompiledWrapper::MakeXPath({step});
+  auto lr = core::CompiledWrapper::MakeLr("<b>", "</b>");
+  auto other_lr = core::CompiledWrapper::MakeLr("<i>", "</i>");
+  EXPECT_EQ(core::FusedSiteExtractor::Build({{"name", lr}}), nullptr);
+  EXPECT_EQ(core::FusedSiteExtractor::Build({{"name", lr}, {"tree", xpath}}),
+            nullptr);
+  EXPECT_NE(
+      core::FusedSiteExtractor::Build({{"name", lr}, {"other", other_lr}}),
+      nullptr);
+
+  // A blob in memory the process may not read: validating or copying it
+  // would fault.
+  const size_t size = 1 << 16;
+  void* guard = ::mmap(nullptr, size, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+  ASSERT_NE(guard, MAP_FAILED);
+  core::FusedSiteExtractor::Attribute attribute;
+  attribute.name = "name";
+  attribute.plan = lr;
+  attribute.left_pattern = 0;
+  EXPECT_EQ(core::FusedSiteExtractor::FromBlob(
+                std::string_view(static_cast<const char*>(guard), size),
+                {attribute}),
+            nullptr);
+  ::munmap(guard, size);
+}
+
 class FusedRepositoryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -183,22 +251,7 @@ class FusedRepositoryTest : public ::testing::Test {
         sitegen::WriteSyntheticWrapperRepository(options, root_).ok());
 
     pack_ = work_ + "/wrappers.pack";
-    core::WrapperPackBuilder builder;
-    auto site_dirs = ListSubdirectories(root_);
-    ASSERT_TRUE(site_dirs.ok());
-    for (const std::string& site_dir : *site_dirs) {
-      std::string site = std::filesystem::path(site_dir).filename().string();
-      auto files = ListFiles(site_dir, kSuffix);
-      ASSERT_TRUE(files.ok());
-      for (const std::string& file : *files) {
-        std::string attr = std::filesystem::path(file).filename().string();
-        attr.resize(attr.size() - (sizeof(kSuffix) - 1));
-        auto record = ReadFile(file);
-        ASSERT_TRUE(record.ok());
-        ASSERT_TRUE(builder.Add(site, attr, *record).ok());
-      }
-    }
-    ASSERT_TRUE(builder.WriteFile(pack_).ok());
+    WritePackFromDirectory(root_, pack_);
   }
 
   void TearDown() override { std::filesystem::remove_all(work_); }
@@ -288,12 +341,7 @@ TEST_F(FusedRepositoryTest, ServiceMultiAttributeByteIdentity) {
         fused != nullptr
             ? PageFor(*fused)
             : "<html><body><div class=\"c1\"><li>x</li></div></body></html>";
-    serve::HttpRequest request;
-    request.method = "POST";
-    request.target = "/extract?site=" + site + "&attribute=*";
-    request.path = "/extract";  // The server's parser fills these in.
-    request.query = {{"site", site}, {"attribute", "*"}};
-    request.body = page;
+    serve::HttpRequest request = MultiAttributeRequest(site, page);
 
     serve::HttpResponse baseline = dir_plain.Handle(request);
     ASSERT_EQ(baseline.status, 200) << site << ": " << baseline.body;
@@ -312,6 +360,55 @@ TEST_F(FusedRepositoryTest, ServiceMultiAttributeByteIdentity) {
   missing.query = {{"site", "no_such_site"}, {"attribute", "*"}};
   missing.body = "<html></html>";
   EXPECT_EQ(dir_fused.Handle(missing).status, 404);
+}
+
+// Origin sites carry one XPath and one LR wrapper — a single dom_free
+// attribute — so neither backend builds them a fused extractor, and
+// `attribute=*` returns the same bytes with the fused scan on or off.
+TEST(FusedOriginRepositoryTest, OneDomFreeAttributeSitesAreNotFused) {
+  std::string work = (std::filesystem::temp_directory_path() /
+                      "ntw_fused_origin_test")
+                         .string();
+  std::filesystem::remove_all(work);
+  sitegen::OriginOptions options;
+  options.sites = 3;
+  options.pages_per_site = 2;
+  sitegen::OriginCorpus corpus = sitegen::MakeOriginCorpus(options);
+  ASSERT_TRUE(
+      sitegen::WriteOriginWrapperRepository(corpus, work + "/repo").ok());
+  WritePackFromDirectory(work + "/repo", work + "/wrappers.pack");
+
+  serve::WrapperRepository dir_repo(work + "/repo");
+  ASSERT_TRUE(dir_repo.Load().ok());
+  serve::WrapperRepository pack_repo(serve::WrapperRepository::Options{
+      std::string(), work + "/wrappers.pack"});
+  ASSERT_TRUE(pack_repo.Load().ok());
+  ThreadPool pool(2);
+  serve::ExtractService::Options fused_off;
+  fused_off.fused = false;
+  serve::ExtractService dir_fused(&dir_repo, &pool);
+  serve::ExtractService dir_plain(&dir_repo, &pool, fused_off);
+  serve::ExtractService pack_fused(&pack_repo, &pool);
+  serve::ExtractService pack_plain(&pack_repo, &pool, fused_off);
+
+  for (const sitegen::OriginSite& site : corpus.sites) {
+    for (serve::WrapperRepository* repo : {&dir_repo, &pack_repo}) {
+      auto pin = repo->Pin();
+      ASSERT_EQ(pin->MaterializeSite(site.key).size(), 2u) << site.key;
+      EXPECT_EQ(pin->FindFused(site.key), nullptr) << site.key;
+    }
+    for (const std::string& page : site.page_html) {
+      serve::HttpRequest request = MultiAttributeRequest(site.key, page);
+      serve::HttpResponse baseline = dir_plain.Handle(request);
+      ASSERT_EQ(baseline.status, 200) << site.key << ": " << baseline.body;
+      for (auto* service : {&dir_fused, &pack_fused, &pack_plain}) {
+        serve::HttpResponse response = service->Handle(request);
+        EXPECT_EQ(response.status, baseline.status) << site.key;
+        EXPECT_EQ(response.body, baseline.body) << site.key;
+      }
+    }
+  }
+  std::filesystem::remove_all(work);
 }
 
 }  // namespace

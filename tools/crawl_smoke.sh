@@ -1,10 +1,12 @@
 #!/bin/sh
 # Smoke test of the crawl workload as a black box: generate a multi-site
 # origin with ntw_origin, crawl it over file:// AND over a live local
-# HTTP origin, and assert both NDJSON outputs are byte-identical to the
-# offline `ntw_extract --emit ndjson` baseline over the same pages —
-# fetch transport, worker scheduling, and the frontier must not change a
-# single output byte. check.sh and CI run this after the unit suite; it
+# HTTP origin, and assert both NDJSON outputs are byte-identical to two
+# offline baselines over the same pages: `ntw_extract --emit ndjson`
+# (the same extraction router the crawl uses) and `ntw_extract
+# --no-fast-path` (the heap-DOM interpreter, the reference every fast
+# route must match) — fetch transport, worker scheduling, the frontier
+# and the route taken must not change a single output byte. check.sh and CI run this after the unit suite; it
 # is the only place the installed ntw_origin/ntw_crawl binaries, the
 # static-file origin, and the port-file handshake meet end to end.
 # Usage: tools/crawl_smoke.sh <build-dir> [workers]
@@ -26,30 +28,45 @@ trap '[ -n "$PID" ] && kill "$PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 fail() { echo "crawl_smoke: $1" >&2; exit 1; }
 
 # An 8-site origin (the acceptance floor) with learned wrappers: every
-# site gets an XPATH wrapper (arena fast path) and an LR delimiter
-# wrapper (streaming no-DOM path), so one crawl exercises all tiers.
+# site gets an XPATH wrapper (streaming XPath executor) and an LR
+# delimiter wrapper (streaming delimiter path), so one crawl exercises
+# both streaming routes.
 "$ORIGIN_BIN" --out "$WORK/origin" --wrapper-dir "$WORK/repo" \
     --sites 8 --pages 5 2> "$WORK/origin.log" \
     || fail "ntw_origin failed: $(cat "$WORK/origin.log")"
 
-# The offline baseline: per-site, per-attribute NDJSON from ntw_extract,
+# Writes an offline baseline to $1: per-site, per-attribute NDJSON from
+# ntw_extract (the remaining arguments are extra ntw_extract flags),
 # interleaved into crawl emission order (pages in sorted order; within a
 # page, wrappers in repository order: name before name_lr).
-: > "$WORK/offline.ndjson"
-for SITE_DIR in "$WORK/origin"/site_*; do
-  SITE="$(basename "$SITE_DIR")"
-  for ATTR in name name_lr; do
-    "$EXTRACT_BIN" --pages "$SITE_DIR" --wrapper-dir "$WORK/repo" \
-        --site "$SITE" --attribute "$ATTR" --emit ndjson \
-        --url-prefix "file://$WORK/origin/$SITE" \
-        > "$WORK/offline.$SITE.$ATTR" 2>/dev/null \
-        || fail "ntw_extract failed for $SITE/$ATTR"
+offline_baseline() {
+  OUT="$1"
+  shift
+  : > "$OUT"
+  for SITE_DIR in "$WORK/origin"/site_*; do
+    SITE="$(basename "$SITE_DIR")"
+    for ATTR in name name_lr; do
+      "$EXTRACT_BIN" --pages "$SITE_DIR" --wrapper-dir "$WORK/repo" \
+          --site "$SITE" --attribute "$ATTR" --emit ndjson \
+          --url-prefix "file://$WORK/origin/$SITE" "$@" \
+          > "$OUT.$SITE.$ATTR" 2>/dev/null \
+          || fail "ntw_extract $* failed for $SITE/$ATTR"
+    done
+    # paste -d'\n' interleaves line i of both files: name, name_lr, ...
+    paste -d '\n' "$OUT.$SITE.name" "$OUT.$SITE.name_lr" >> "$OUT"
   done
-  # paste -d'\n' interleaves line i of both files: name, name_lr, name...
-  paste -d '\n' "$WORK/offline.$SITE.name" "$WORK/offline.$SITE.name_lr" \
-      >> "$WORK/offline.ndjson"
-done
-[ -s "$WORK/offline.ndjson" ] || fail "offline baseline is empty"
+  [ -s "$OUT" ] || fail "offline baseline $OUT is empty"
+}
+offline_baseline "$WORK/offline.ndjson"
+offline_baseline "$WORK/interpreted.ndjson" --no-fast-path
+
+# A crawl output must equal both baselines byte for byte.
+check_crawl() {
+  cmp -s "$1" "$WORK/offline.ndjson" \
+      || fail "$2 crawl output differs from the offline baseline"
+  cmp -s "$1" "$WORK/interpreted.ndjson" \
+      || fail "$2 crawl output differs from the interpreter baseline"
+}
 
 # Crawl over file:// from the root index (depth 1 discovers every page).
 "$CRAWL_BIN" --wrapper-dir "$WORK/repo" \
@@ -57,8 +74,7 @@ done
     --workers "$WORKERS" --out "$WORK/crawl_file.ndjson" --quiet \
     2> "$WORK/crawl_file.log" \
     || fail "file:// crawl failed: $(cat "$WORK/crawl_file.log")"
-cmp -s "$WORK/crawl_file.ndjson" "$WORK/offline.ndjson" \
-    || fail "file:// crawl output differs from offline baseline"
+check_crawl "$WORK/crawl_file.ndjson" "file://"
 
 # Single worker must produce the same bytes as $WORKERS workers.
 "$CRAWL_BIN" --wrapper-dir "$WORK/repo" \
@@ -66,8 +82,7 @@ cmp -s "$WORK/crawl_file.ndjson" "$WORK/offline.ndjson" \
     --workers 1 --out "$WORK/crawl_serial.ndjson" --quiet \
     2> "$WORK/crawl_serial.log" \
     || fail "serial crawl failed: $(cat "$WORK/crawl_serial.log")"
-cmp -s "$WORK/crawl_serial.ndjson" "$WORK/offline.ndjson" \
-    || fail "serial crawl output differs from offline baseline"
+check_crawl "$WORK/crawl_serial.ndjson" "serial"
 
 # Serve the same tree over HTTP and crawl it: same records, same order,
 # only the url member's prefix differs.
@@ -97,8 +112,7 @@ PID=""
 
 sed "s|http://127.0.0.1:$PORT|file://$WORK/origin|g" \
     "$WORK/crawl_http.ndjson" > "$WORK/crawl_http_norm.ndjson"
-cmp -s "$WORK/crawl_http_norm.ndjson" "$WORK/offline.ndjson" \
-    || fail "http crawl output differs from offline baseline"
+check_crawl "$WORK/crawl_http_norm.ndjson" "http"
 
 RECORDS="$(wc -l < "$WORK/offline.ndjson")"
-echo "crawl_smoke OK ($RECORDS records, file+http byte-identical, $WORKERS workers)"
+echo "crawl_smoke OK ($RECORDS records, file+http byte-identical to router and interpreter, $WORKERS workers)"

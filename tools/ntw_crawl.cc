@@ -12,8 +12,11 @@
 //             [--quiet]
 //
 // Crawls from the seed URLs (file:// or http://) through the
-// deduplicating per-domain frontier, extracts every fetched page with
-// the wrapper repository's compiled/streaming tiers, and writes one
+// deduplicating per-domain frontier, extracts every fetched page through
+// the extraction router ntw_serve uses (LR/HLRT and streamable XPath
+// plans stream with no DOM; a site's fused scan runs when it covers two
+// or more delimiter wrappers; --no-streaming pins compiled plans to the
+// arena DOM, --no-fast-path forces the heap-DOM interpreter), and writes one
 // ntw-crawl-record NDJSON line per (page, attribute) to --out (default
 // stdout) in frontier dispatch order — byte-identical to offline
 // `ntw_extract --emit ndjson` over the same pages, at any --workers.
@@ -49,7 +52,9 @@ constexpr char kUsage[] =
     "                 [--attribute NAME] [--site SITE] [--timing]\n"
     "                 [--no-fast-path] [--no-streaming] [--max-retries N]\n"
     "                 [--timeout-ms N] [--self-heal]\n"
-    "                 [--metrics-json FILE] [--quiet]\n";
+    "                 [--metrics-json FILE] [--quiet]\n"
+    "extraction routes pages like ntw_serve: streaming by default,\n"
+    "arena DOM with --no-streaming, interpreter with --no-fast-path\n";
 
 std::vector<std::string> SplitList(const std::string& csv) {
   std::vector<std::string> out;

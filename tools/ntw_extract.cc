@@ -14,10 +14,15 @@
 //           per line) or regex, enumerate + rank noise-tolerantly with a
 //           generic publication prior, print the winning wrapper and its
 //           extraction as TSV (page <TAB> text).
-//   apply   (--load-wrapper): re-apply a previously saved wrapper.
+//   apply   (--load-wrapper): re-apply a previously saved wrapper,
+//           compiled and routed like the repository apply mode below.
 //   apply   (--wrapper-dir): select the (site, attribute) wrapper out of
 //           a serving repository — the exact same serve::WrapperRepository
-//           code path ntw_serve uses, so CLI and daemon cannot diverge.
+//           code path ntw_serve uses — and extract every page through the
+//           core::ExtractionRouter that ntw_serve and ntw_crawl use, so
+//           CLI, daemon and crawl cannot diverge. LR/HLRT and streamable
+//           XPath plans stream; --no-streaming pins compiled plans to the
+//           arena DOM, --no-fast-path forces the heap-DOM interpreter.
 //           With --emit ndjson the output switches from TSV to one
 //           ntw-crawl-record line per page (--url-prefix P names the
 //           pages as P/<filename>) — byte-identical to what ntw_crawl
@@ -36,7 +41,7 @@
 #include "common/obs_export.h"
 #include "common/strings.h"
 #include "obs/trace.h"
-#include "core/compiled_wrapper.h"
+#include "core/extraction_router.h"
 #include "core/hlrt_inductor.h"
 #include "core/lr_inductor.h"
 #include "core/ntw.h"
@@ -44,7 +49,6 @@
 #include "core/xpath_inductor.h"
 #include "crawl/record.h"
 #include "datasets/corpus_io.h"
-#include "html/arena_dom.h"
 #include "serve/wrapper_repository.h"
 
 namespace {
@@ -62,7 +66,9 @@ constexpr char kUsage[] =
     " [--save-wrapper FILE] [--quiet]\n"
     "                   [--metrics-json PATH] [--trace PATH]"
     " [--no-fast-path] [--no-streaming]\n"
-    "                   [--emit tsv|ndjson] [--url-prefix P]\n";
+    "                   [--emit tsv|ndjson] [--url-prefix P]\n"
+    "apply mode routes pages like ntw_serve: streaming by default,\n"
+    "arena DOM with --no-streaming, interpreter with --no-fast-path\n";
 
 void PrintExtraction(const core::PageSet& pages,
                      const core::NodeSet& extraction) {
@@ -72,6 +78,46 @@ void PrintExtraction(const core::PageSet& pages,
     if (node == nullptr) continue;
     std::printf("%d\t%s\n", ref.page, node->text().c_str());
   }
+}
+
+/// Apply mode: extracts every page of `pages_dir` through the extraction
+/// router ntw_serve and ntw_crawl use — streaming for dom_free and
+/// streamable XPath plans, the arena DOM for the rest (or with
+/// --no-streaming), the interpreter with --no-fast-path or without a
+/// plan; the same bytes on every route. Prints TSV (page <TAB> text), or
+/// one ntw-crawl-record line per page when `page_urls` is non-null.
+/// Returns the exit status.
+int ApplyRouted(const Flags& flags, const std::string& pages_dir,
+                const core::Wrapper& wrapper,
+                const core::CompiledWrapper* compiled,
+                const std::vector<std::string>* page_urls,
+                std::string_view site, std::string_view attribute) {
+  Result<std::vector<std::string>> sources =
+      datasets::LoadPageSourcesFromDirectory(pages_dir);
+  if (!sources.ok()) {
+    std::fprintf(stderr, "%s\n", sources.status().ToString().c_str());
+    return 1;
+  }
+  core::ExtractionRouter router(core::ExtractionRouter::Options{
+      !flags.Has("no-fast-path"), !flags.Has("no-streaming")});
+  std::string value;
+  obs::Span span("extract.apply");
+  for (size_t i = 0; i < sources->size(); ++i) {
+    core::ExtractionRouter::Page page =
+        router.Extract(wrapper, compiled, (*sources)[i]);
+    if (page_urls != nullptr) {
+      std::string line;
+      crawl::AppendRecordLine(site, (*page_urls)[i], attribute,
+                              page.values(), crawl::RecordTiming{}, &line);
+      std::fwrite(line.data(), 1, line.size(), stdout);
+    } else {
+      for (std::string_view v : page.values()) {
+        value.assign(v);
+        std::printf("%d\t%s\n", static_cast<int>(i), value.c_str());
+      }
+    }
+  }
+  return 0;
 }
 
 int Run(int argc, char** argv) {
@@ -178,77 +224,10 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "wrapper: %s\n",
                    entry->wrapper->ToString().c_str());
     }
-    // Compiled fast path, same output bytes as the interpreted path
-    // below; dom_free plans stream straight over the raw page bytes and
-    // streamable XPath plans run fused off the tokenizer (no DOM either
-    // way) unless --no-streaming, others arena-parse.
-    // --no-fast-path forces the interpreter.
-    if (!flags.Has("no-fast-path") && entry->compiled != nullptr) {
-      Result<std::vector<std::string>> sources =
-          datasets::LoadPageSourcesFromDirectory(pages_dir);
-      if (!sources.ok()) {
-        std::fprintf(stderr, "%s\n", sources.status().ToString().c_str());
-        return 1;
-      }
-      bool streaming =
-          !flags.Has("no-streaming") &&
-          (entry->compiled->dom_free() || entry->compiled->streamable());
-      core::FastPageBuffer buffer;
-      core::StreamPageBuffer stream_buffer;
-      std::string value;
-      obs::Span span("extract.apply");
-      for (size_t i = 0; i < sources->size(); ++i) {
-        const std::vector<std::string_view>* values;
-        if (streaming) {
-          stream_buffer.Clear();
-          entry->compiled->ExtractStreaming((*sources)[i], stream_buffer,
-                                            &stream_buffer.values);
-          values = &stream_buffer.values;
-        } else {
-          buffer.Clear();
-          html::ArenaParse((*sources)[i], &buffer.doc);
-          entry->compiled->Extract(buffer, &buffer.values);
-          values = &buffer.values;
-        }
-        if (ndjson) {
-          std::string line;
-          crawl::AppendRecordLine(site, page_urls[i], attribute, *values,
-                                  crawl::RecordTiming{}, &line);
-          std::fwrite(line.data(), 1, line.size(), stdout);
-        } else {
-          for (std::string_view v : *values) {
-            value.assign(v);
-            std::printf("%d\t%s\n", static_cast<int>(i), value.c_str());
-          }
-        }
-      }
-    } else {
-      core::NodeSet extraction;
-      {
-        obs::Span span("extract.apply");
-        extraction = entry->wrapper->Extract(pages);
-      }
-      if (ndjson) {
-        // One record line per page, values grouped by page in document
-        // order — the interpreted mirror of the compiled loop above.
-        std::vector<std::vector<std::string>> by_page(pages.size());
-        for (const core::NodeRef& ref : extraction) {
-          const html::Node* node = pages.Resolve(ref);
-          if (node == nullptr) continue;
-          by_page[static_cast<size_t>(ref.page)].push_back(node->text());
-        }
-        for (size_t i = 0; i < by_page.size(); ++i) {
-          std::vector<std::string_view> views(by_page[i].begin(),
-                                              by_page[i].end());
-          std::string line;
-          crawl::AppendRecordLine(site, page_urls[i], attribute, views,
-                                  crawl::RecordTiming{}, &line);
-          std::fwrite(line.data(), 1, line.size(), stdout);
-        }
-      } else {
-        PrintExtraction(pages, extraction);
-      }
-    }
+    int status = ApplyRouted(flags, pages_dir, *entry->wrapper,
+                             entry->compiled.get(),
+                             ndjson ? &page_urls : nullptr, site, attribute);
+    if (status != 0) return status;
     Status written = obs_export.Write();
     if (!written.ok()) {
       std::fprintf(stderr, "%s\n", written.ToString().c_str());
@@ -269,12 +248,11 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "wrapper: %s\n",
                    (*wrapper)->ToString().c_str());
     }
-    core::NodeSet extraction;
-    {
-      obs::Span span("extract.apply");
-      extraction = (*wrapper)->Extract(pages);
-    }
-    PrintExtraction(pages, extraction);
+    std::shared_ptr<const core::CompiledWrapper> compiled =
+        core::CompiledWrapper::Compile(**wrapper);
+    int status = ApplyRouted(flags, pages_dir, **wrapper, compiled.get(),
+                             nullptr, {}, {});
+    if (status != 0) return status;
     Status written = obs_export.Write();
     if (!written.ok()) {
       std::fprintf(stderr, "%s\n", written.ToString().c_str());

@@ -258,7 +258,7 @@ int Run(int argc, char** argv) {
                                                         reinduce_options);
     reinducer->Start();
   }
-  // One ExtractService per shard: a shard-private FastBufferPool and
+  // One ExtractService per shard: shard-private buffer pools and
   // per-shard metric stripes; the repository is shared (epoch-pinned
   // reads). The factory runs once per shard inside Bind().
   std::vector<std::unique_ptr<serve::ExtractService>> services;
