@@ -11,25 +11,31 @@ namespace ntw::annotate {
 DictionaryAnnotator::DictionaryAnnotator(std::vector<std::string> entries,
                                          Options options)
     : options_(options) {
-  entries_.reserve(entries.size());
-  for (std::string& entry : entries) {
-    if (entry.size() >= options_.min_entry_length) {
-      entries_.push_back(std::move(entry));
-    }
+  for (const std::string& entry : entries) {
+    if (entry.size() < options_.min_entry_length) continue;
+    ++size_;
+    // An empty entry never matches (ContainsWordIgnoreCase semantics).
+    if (entry.empty()) continue;
+    if (folded_.insert(ToLower(entry)).second) lengths_.push_back(entry.size());
   }
-  // Longest first: cheap way to prefer the most specific mention; also
-  // makes Matches() deterministic in its scan order.
-  std::sort(entries_.begin(), entries_.end(),
-            [](const std::string& a, const std::string& b) {
-              if (a.size() != b.size()) return a.size() > b.size();
-              return a < b;
-            });
+  std::sort(lengths_.begin(), lengths_.end());
+  lengths_.erase(std::unique(lengths_.begin(), lengths_.end()),
+                 lengths_.end());
 }
 
 bool DictionaryAnnotator::Matches(const std::string& text) const {
-  for (const std::string& entry : entries_) {
-    if (entry.size() > text.size()) continue;
-    if (ContainsWordIgnoreCase(text, entry)) return true;
+  if (lengths_.empty() || text.size() < lengths_.front()) return false;
+  const std::string folded = ToLower(text);
+  const std::string_view view(folded);
+  const size_t n = view.size();
+  for (size_t pos = 0; pos + lengths_.front() <= n; ++pos) {
+    if (pos > 0 && IsAsciiAlnum(view[pos - 1])) continue;  // Not a word start.
+    for (size_t length : lengths_) {
+      size_t end = pos + length;
+      if (end > n) break;
+      if (end < n && IsAsciiAlnum(view[end])) continue;  // No right boundary.
+      if (folded_.contains(view.substr(pos, length))) return true;
+    }
   }
   return false;
 }

@@ -1,7 +1,9 @@
 #ifndef NTW_ANNOTATE_DICTIONARY_ANNOTATOR_H_
 #define NTW_ANNOTATE_DICTIONARY_ANNOTATOR_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -34,13 +36,26 @@ class DictionaryAnnotator : public Annotator {
   core::NodeSet Annotate(const core::PageSet& pages) const override;
   std::string Name() const override { return "dictionary"; }
 
-  size_t size() const { return entries_.size(); }
+  /// Entries kept after the `min_entry_length` filter, duplicates included.
+  size_t size() const { return size_; }
 
-  /// True when `text` contains an exact mention of some entry.
+  /// True when `text` contains an exact mention of some entry: the same
+  /// predicate as ContainsWordIgnoreCase(text, entry) for any one entry,
+  /// answered with one hash probe per (word start, distinct entry length).
   bool Matches(const std::string& text) const;
 
  private:
-  std::vector<std::string> entries_;
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  // Case-folded non-empty entries, and their distinct lengths ascending.
+  std::unordered_set<std::string, StringHash, std::equal_to<>> folded_;
+  std::vector<size_t> lengths_;
+  size_t size_ = 0;
   Options options_;
 };
 

@@ -142,10 +142,9 @@ RequestParser::Phase RequestParser::Fail(int status, std::string message) {
 }
 
 RequestParser::Phase RequestParser::ParseHeaderBlock(std::string_view block) {
+  // A block without a newline is a request line with no header fields
+  // ("GET / HTTP/1.0" followed directly by the blank line).
   size_t line_end = block.find('\n');
-  if (line_end == std::string_view::npos) {
-    return Fail(400, "missing request line");
-  }
   std::string_view request_line = StripCr(block.substr(0, line_end));
   size_t sp1 = request_line.find(' ');
   size_t sp2 = request_line.rfind(' ');
@@ -206,7 +205,9 @@ RequestParser::Phase RequestParser::ParseHeaderBlock(std::string_view block) {
   request_.query.resize(query_count);
 
   // Header fields, with the same in-place slot reuse as the query list.
-  std::string_view rest = block.substr(line_end + 1);
+  std::string_view rest = line_end == std::string_view::npos
+                              ? std::string_view()
+                              : block.substr(line_end + 1);
   size_t header_count = 0;
   while (!rest.empty()) {
     size_t eol = rest.find('\n');

@@ -121,6 +121,10 @@ class RequestParser {
   /// shutdown, a mid-request one (true) is a slow-loris timeout.
   bool has_partial_data() const { return saw_bytes_; }
 
+  /// Bytes at the front of the caller's buffer that parsed requests have
+  /// consumed (Consume compacts them away lazily).
+  size_t consumed() const { return offset_; }
+
   int error_status() const { return error_status_; }
   const std::string& error_message() const { return error_message_; }
 

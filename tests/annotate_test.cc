@@ -2,7 +2,11 @@
 #include "annotate/regex_annotator.h"
 #include "annotate/synthetic_annotator.h"
 #include "common/rng.h"
+#include "common/strings.h"
+#include "datasets/dealers.h"
+#include "datasets/products.h"
 #include "gtest/gtest.h"
+#include "sitegen/vocab.h"
 #include "test_util.h"
 
 namespace ntw::annotate {
@@ -60,6 +64,207 @@ TEST(DictionaryAnnotatorTest, EmptyDictionary) {
   core::PageSet pages = FigureOnePages();
   DictionaryAnnotator annotator({});
   EXPECT_TRUE(annotator.Annotate(pages).empty());
+}
+
+// The per-entry definition the index must reproduce exactly: a text node
+// is labeled when some kept entry is a word-delimited, case-insensitive
+// mention in it.
+bool OracleMatches(const std::vector<std::string>& entries,
+                   size_t min_entry_length, const std::string& text) {
+  for (const std::string& entry : entries) {
+    if (entry.size() >= min_entry_length &&
+        ContainsWordIgnoreCase(text, entry)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+core::NodeSet OracleAnnotate(const std::vector<std::string>& entries,
+                             const DictionaryAnnotator::Options& options,
+                             const core::PageSet& pages) {
+  core::NodeSet labels;
+  size_t page_limit = options.max_pages == 0
+                          ? pages.size()
+                          : std::min(options.max_pages, pages.size());
+  for (size_t p = 0; p < page_limit; ++p) {
+    for (const html::Node* node : pages.page(p).text_nodes()) {
+      if (OracleMatches(entries, options.min_entry_length, node->text())) {
+        labels.Insert(core::NodeRef{static_cast<int>(p),
+                                    node->preorder_index()});
+      }
+    }
+  }
+  return labels;
+}
+
+// A small alphabet so random texts hit entries often: letters of both
+// cases, digits, spaces and punctuation (word boundaries of every kind).
+std::string RandomString(Rng* rng, size_t length) {
+  static constexpr std::string_view kAlphabet = "abAB01 -.,'";
+  std::string s;
+  for (size_t i = 0; i < length; ++i) {
+    s += kAlphabet[rng->NextBounded(kAlphabet.size())];
+  }
+  return s;
+}
+
+std::string FlipCase(Rng* rng, std::string s) {
+  for (char& c : s) {
+    if (rng->NextBernoulli(0.5)) {
+      c = c == AsciiToLower(c) ? AsciiToUpper(c) : AsciiToLower(c);
+    }
+  }
+  return s;
+}
+
+std::vector<std::string> RandomEntries(Rng* rng) {
+  std::vector<std::string> entries;
+  size_t count = rng->NextBounded(10);
+  for (size_t i = 0; i < count; ++i) {
+    if (entries.empty() || rng->NextBernoulli(0.5)) {
+      entries.push_back(RandomString(rng, rng->NextBounded(7)));
+      continue;
+    }
+    const std::string base = entries[rng->NextBounded(entries.size())];
+    size_t cut = rng->NextBounded(base.size() + 1);
+    switch (rng->NextBounded(4)) {
+      case 0:  // Prefix of another entry.
+        entries.push_back(base.substr(0, cut));
+        break;
+      case 1:  // Suffix of another entry.
+        entries.push_back(base.substr(cut));
+        break;
+      case 2:  // Duplicate after case folding.
+        entries.push_back(FlipCase(rng, base));
+        break;
+      default:  // Begins or ends with a non-alphanumeric byte.
+        entries.push_back(rng->NextBernoulli(0.5) ? "-" + base : base + ".");
+        break;
+    }
+  }
+  return entries;
+}
+
+std::string RandomText(Rng* rng, const std::vector<std::string>& entries) {
+  if (rng->NextBernoulli(0.15)) {
+    return RandomString(rng, rng->NextBounded(3));  // Shorter than most.
+  }
+  std::string text = RandomString(rng, rng->NextBounded(8));
+  if (!entries.empty() && rng->NextBernoulli(0.7)) {
+    text += FlipCase(rng, entries[rng->NextBounded(entries.size())]);
+    text += RandomString(rng, rng->NextBounded(8));
+  }
+  return text;
+}
+
+TEST(DictionaryAnnotatorTest, IndexMatchesPerEntryOracle) {
+  Rng rng(20261017);
+  constexpr int kCases = 600;
+  static constexpr size_t kMinLengths[] = {0, 2, 3};
+  size_t positives = 0, probes = 0;
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    std::vector<std::string> entries = RandomEntries(&rng);
+    DictionaryAnnotator::Options options;
+    options.min_entry_length = kMinLengths[rng.NextBounded(3)];
+    options.max_pages = rng.NextBounded(4);
+    DictionaryAnnotator annotator(entries, options);
+
+    size_t kept = 0;
+    for (const std::string& entry : entries) {
+      kept += entry.size() >= options.min_entry_length;
+    }
+    ASSERT_EQ(annotator.size(), kept);
+
+    core::PageSet pages;
+    for (int p = 0; p < 3; ++p) {
+      std::string html = "<div>";
+      for (int t = 0; t < 6; ++t) {
+        std::string text = RandomText(&rng, entries);
+        bool expected = OracleMatches(entries, options.min_entry_length, text);
+        ASSERT_EQ(annotator.Matches(text), expected) << "text '" << text << "'";
+        positives += expected;
+        ++probes;
+        html += "<p>" + HtmlEscape(text) + "</p>";
+      }
+      pages.AddPage(MustParse(html + "</div>"));
+    }
+    ASSERT_EQ(annotator.Annotate(pages),
+              OracleAnnotate(entries, options, pages));
+  }
+  // The generator must exercise both outcomes, not only misses.
+  EXPECT_GT(positives, probes / 10);
+  EXPECT_LT(positives, probes * 4 / 5);
+}
+
+TEST(DictionaryAnnotatorTest, BoundaryAndDuplicateEdgeCases) {
+  DictionaryAnnotator::Options options;
+  options.min_entry_length = 2;
+  DictionaryAnnotator annotator({"-ab", "ab.", "AB", "ab", "abab"}, options);
+  EXPECT_EQ(annotator.size(), 5u);  // Case-folded duplicates still count.
+  EXPECT_TRUE(annotator.Matches("x -ab"));
+  EXPECT_TRUE(annotator.Matches("ab."));
+  EXPECT_TRUE(annotator.Matches("x aB y"));
+  EXPECT_TRUE(annotator.Matches("ABAB"));
+  EXPECT_FALSE(annotator.Matches("xab"));    // No left boundary.
+  EXPECT_FALSE(annotator.Matches("aba"));    // No right boundary.
+  EXPECT_FALSE(annotator.Matches("x-aba"));  // "-ab" needs a right edge.
+  EXPECT_FALSE(annotator.Matches("a"));      // Shorter than every entry.
+  EXPECT_FALSE(annotator.Matches(""));
+  DictionaryAnnotator::Options keep_all;
+  keep_all.min_entry_length = 0;
+  DictionaryAnnotator empty_entry({""}, keep_all);
+  EXPECT_EQ(empty_entry.size(), 1u);
+  EXPECT_FALSE(empty_entry.Matches("anything"));  // Empty never matches.
+}
+
+TEST(DictionaryAnnotatorTest, DealersLabelsMatchOracle) {
+  datasets::DealersConfig config;
+  config.num_sites = 6;
+  config.pages_per_site = 4;
+  datasets::Dataset dataset = datasets::MakeDealers(config);
+  // The annotator's dictionary, rebuilt the way MakeDealers draws it from
+  // the business-name universe.
+  std::vector<std::string> names =
+      sitegen::BusinessNameUniverse(config.universe_size, config.seed * 977);
+  size_t dict_size = static_cast<size_t>(config.dictionary_fraction *
+                                         static_cast<double>(names.size()));
+  Rng rng(config.seed * 31 + 7);
+  std::vector<size_t> order(names.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng.Shuffle(&order);
+  std::vector<std::string> dictionary;
+  for (size_t i = 0; i < dict_size; ++i) dictionary.push_back(names[order[i]]);
+
+  size_t labels = 0;
+  for (const datasets::SiteData& data : dataset.sites) {
+    core::NodeSet expected =
+        OracleAnnotate(dictionary, DictionaryAnnotator::Options(),
+                       data.site.pages);
+    EXPECT_EQ(data.annotations.at("name"), expected);
+    labels += expected.size();
+  }
+  EXPECT_GT(labels, 0u);
+}
+
+TEST(DictionaryAnnotatorTest, ProductsLabelsMatchOracle) {
+  datasets::ProductsConfig config;
+  config.num_sites = 4;
+  datasets::Dataset dataset = datasets::MakeProducts(config);
+  // The catalogue MakeProducts annotates with, trimmed to the paper's 463.
+  std::vector<std::string> catalogue = sitegen::PhoneModelCatalogue(
+      config.catalogue_per_brand, config.seed * 131);
+  if (catalogue.size() > 463) catalogue.resize(463);
+
+  size_t labels = 0;
+  for (const datasets::SiteData& data : dataset.sites) {
+    core::NodeSet expected = OracleAnnotate(
+        catalogue, DictionaryAnnotator::Options(), data.site.pages);
+    EXPECT_EQ(data.annotations.at("model"), expected);
+    labels += expected.size();
+  }
+  EXPECT_GT(labels, 0u);
 }
 
 TEST(RegexAnnotatorTest, ZipcodeAnnotator) {
