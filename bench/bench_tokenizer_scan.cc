@@ -1,9 +1,9 @@
 // Tokenizer / scanner microbenchmarks (google-benchmark): the byte-class
 // scanning loops the SIMD dispatch accelerates, measured scalar vs vector
 // on the same inputs so the speedup is directly visible in bytes/sec —
-// plus the three consumers that sit on top of them: the Tokenizer, the
-// StreamPage build (per tier) and the arena parse, on a representative
-// serialized dealer page.
+// plus the two consumers that sit on top of them: the Tokenizer and the
+// StreamPage build, on a representative serialized dealer page.
+// FindTextSpecial is scalar on every target, so it has no _scalar twin.
 //
 // Run with NTW_NO_SIMD=1 to pin everything scalar; the *_scalar variants
 // below force it per-benchmark via scan::ForceScalar(), so a single
@@ -24,7 +24,6 @@
 #include "common/file_util.h"
 #include "common/obs_export.h"
 #include "datasets/dealers.h"
-#include "html/arena_dom.h"
 #include "html/scan.h"
 #include "html/serializer.h"
 #include "html/stream_page.h"
@@ -89,12 +88,6 @@ void BM_ScanTextSpecial(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanTextSpecial);
 
-void BM_ScanTextSpecial_scalar(benchmark::State& state) {
-  ScopedScalar scalar;
-  ScanAll<&html::scan::FindTextSpecial>(state, SparseText());
-}
-BENCHMARK(BM_ScanTextSpecial_scalar);
-
 void BM_ScanLtOrAmp(benchmark::State& state) {
   ScanAll<&html::scan::FindLtOrAmp>(state, SparseText());
 }
@@ -151,20 +144,6 @@ void BM_StreamPageBuild_scalar(benchmark::State& state) {
   StreamBuild(state, DealerPageHtml());
 }
 BENCHMARK(BM_StreamPageBuild_scalar);
-
-// The same page through the arena parse: the DOM fast path's per-page
-// cost, the baseline the streaming tiers beat.
-void BM_ArenaParse(benchmark::State& state) {
-  std::string source = DealerPageHtml();
-  html::ArenaDocument doc;
-  for (auto _ : state) {
-    html::ArenaParse(source, &doc);
-    benchmark::DoNotOptimize(doc.stream().size());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(source.size()));
-}
-BENCHMARK(BM_ArenaParse);
 
 // --- JSON artifact ---------------------------------------------------------
 

@@ -9,7 +9,7 @@
 #include "core/hlrt_inductor.h"
 #include "core/lr_inductor.h"
 #include "core/xpath_inductor.h"
-#include "html/dom.h"
+#include "html/name_table.h"
 #include "html/parse_rules.h"
 #include "xpath/ast.h"
 
@@ -43,15 +43,6 @@ size_t StringSearcher::Find(std::string_view haystack, size_t from) const {
   return std::string_view::npos;
 }
 
-void FastPageBuffer::Clear() {
-  doc.Clear();
-  values.clear();
-  current_.clear();
-  next_.clear();
-  // marks_/epoch_ stay: stale marks always hold an epoch older than any
-  // future one, so they can never alias a live mark.
-}
-
 std::shared_ptr<const CompiledWrapper> CompiledWrapper::Compile(
     const Wrapper& wrapper) {
   auto plan = std::make_shared<CompiledWrapper>();
@@ -73,8 +64,7 @@ std::shared_ptr<const CompiledWrapper> CompiledWrapper::Compile(
       }
       op.child_number = step.child_number.value_or(-1);
       for (const auto& [name, value] : step.attr_filters) {
-        op.attr_filters.push_back(
-            {html::NameTable::Global().Intern(name).id, name, value});
+        op.attr_filters.push_back({name, value});
       }
       plan->steps_.push_back(std::move(op));
     }
@@ -146,8 +136,7 @@ std::shared_ptr<const CompiledWrapper> CompiledWrapper::MakeXPath(
     }
     op.child_number = spec.child_number;
     for (const auto& [name, value] : spec.attr_filters) {
-      op.attr_filters.push_back(
-          {html::NameTable::Global().Intern(name).id, name, value});
+      op.attr_filters.push_back({name, value});
     }
     plan->steps_.push_back(std::move(op));
   }
@@ -160,7 +149,7 @@ void CompiledWrapper::FinalizeXPath() {
   // document root's free match), so a program needs steps_.size() + 1
   // bits out of the 64 available. An empty program selects the document
   // root itself — a node the event machine never materializes — so it
-  // stays on the DOM path.
+  // goes to the interpreter.
   streamable_ = !steps_.empty() && steps_.size() < 64;
   if (!streamable_) return;
   for (size_t j = 0; j < steps_.size(); ++j) {
@@ -186,29 +175,13 @@ const char* CompiledWrapper::plan_kind() const {
   return "unknown";
 }
 
-void CompiledWrapper::Extract(FastPageBuffer& buffer,
-                              std::vector<std::string_view>* values) const {
-  values->clear();
-  switch (kind_) {
-    case Kind::kXPath:
-      ExtractXPath(buffer, values);
-      return;
-    case Kind::kLr:
-      MatchLr(buffer.doc.stream(), buffer.doc.spans(), values);
-      return;
-    case Kind::kHlrt:
-      MatchHlrt(buffer.doc.stream(), buffer.doc.spans(), values);
-      return;
-  }
-}
-
 void CompiledWrapper::ExtractStreaming(
     std::string_view raw_page, StreamPageBuffer& buffer,
     std::vector<std::string_view>* values) const {
   values->clear();
   if (kind_ == Kind::kXPath) {
     // Fused tokenize→plan-execute; an unstreamable plan (>63 steps or
-    // empty) needs the DOM — callers route there.
+    // empty) needs the heap DOM — callers route it to the interpreter.
     if (streamable_) ExtractXPathStreaming(raw_page, buffer, values);
     return;
   }
@@ -281,97 +254,10 @@ void CompiledWrapper::ExtractWithOccurrences(
   }
 }
 
-namespace {
-
-// First pre-order index after the subtree rooted at `index` — because the
-// builder appends nodes in document order, a subtree occupies the
-// contiguous index range (index, SubtreeEnd(index)).
-int32_t SubtreeEnd(const html::ArenaDocument& doc, int32_t index) {
-  int32_t n = index;
-  while (n >= 0) {
-    int32_t sibling = doc.node(n).next_sibling;
-    if (sibling >= 0) return sibling;
-    n = doc.node(n).parent;
-  }
-  return static_cast<int32_t>(doc.node_count());
-}
-
-}  // namespace
-
-void CompiledWrapper::ExtractXPath(
-    FastPageBuffer& buffer, std::vector<std::string_view>* values) const {
-  const html::ArenaDocument& doc = buffer.doc;
-  std::vector<int32_t>& current = buffer.current_;
-  std::vector<int32_t>& next = buffer.next_;
-  std::vector<uint32_t>& marks = buffer.marks_;
-  if (marks.size() < doc.node_count()) marks.resize(doc.node_count(), 0);
-
-  current.clear();
-  current.push_back(0);  // Document root.
-  for (const StepOp& step : steps_) {
-    next.clear();
-    if (++buffer.epoch_ == 0) {  // Wraparound: wipe stale marks once.
-      std::fill(marks.begin(), marks.end(), 0u);
-      buffer.epoch_ = 1;
-    }
-    uint32_t epoch = buffer.epoch_;
-
-    auto try_candidate = [&](int32_t idx) {
-      const html::ArenaNode& n = doc.node(idx);
-      if (step.is_text) {
-        if (n.kind != html::NodeKind::kText) return;
-      } else if (step.any_element) {
-        if (n.kind != html::NodeKind::kElement) return;
-      } else {
-        if (n.kind != html::NodeKind::kElement || n.tag_id != step.tag_id) {
-          return;
-        }
-      }
-      if (step.child_number >= 0) {
-        if (!step.is_text && !step.any_element) {
-          if (n.same_tag_child_number != step.child_number) return;
-        } else if (n.sibling_index + 1 != step.child_number) {
-          return;
-        }
-      }
-      for (const StepOp::AttrFilter& f : step.attr_filters) {
-        const html::ArenaAttr* attr = doc.FindAttr(n, f.name_id);
-        if (attr == nullptr || attr->value != f.value) return;
-      }
-      uint32_t& mark = marks[static_cast<size_t>(idx)];
-      if (mark == epoch) return;  // Already collected for this step.
-      mark = epoch;
-      next.push_back(idx);
-    };
-
-    for (int32_t context : current) {
-      if (step.descendant) {
-        int32_t end = SubtreeEnd(doc, context);
-        for (int32_t i = context + 1; i < end; ++i) try_candidate(i);
-      } else {
-        for (int32_t c = doc.node(context).first_child; c >= 0;
-             c = doc.node(c).next_sibling) {
-          try_candidate(c);
-        }
-      }
-    }
-    current.swap(next);
-    if (current.empty()) break;
-  }
-
-  // Same final ordering as xpath::Evaluate: ascending pre-order.
-  std::sort(current.begin(), current.end());
-  for (int32_t idx : current) {
-    const html::ArenaNode& n = doc.node(idx);
-    values->push_back(n.kind == html::NodeKind::kText ? n.text
-                                                      : std::string_view());
-  }
-}
-
 // The fused streaming XPath executor: an NFA-style bitset machine run
-// directly against the tokenizer event stream, mirroring ExtractXPath's
-// step semantics and ArenaTreeBuilder's event handling (implied end tags,
-// nearest-match closes with the table boundary, void/self-closing
+// directly against the tokenizer event stream, mirroring xpath::Evaluate's
+// step semantics and the heap tree builder's event handling (implied end
+// tags, nearest-match closes with the table boundary, void/self-closing
 // elements, whitespace-only text skipping) without materializing a node.
 //
 // Per open element, `match` bit j says "this node matches the first j
@@ -381,10 +267,10 @@ void CompiledWrapper::ExtractXPath(
 // — the child axis needs the parent itself to hold bit j, the descendant
 // axis any ancestor. Passing step j's test sets bit j+1 on the node;
 // reaching bit steps_.size() is an accept, recorded at the open event,
-// which is exactly ascending pre-order — the DOM path's result order —
+// which is exactly ascending pre-order — the interpreter's result order —
 // and each node is tested once, so no dedup marks are needed.
 //
-// Accepted elements extract the empty string (as on the DOM path); an
+// Accepted elements extract the empty string (as in the interpreter); an
 // accepted text node is the only thing ever copied: its collapsed bytes
 // go into the capture buffer via the same AppendCollapsedText the
 // StreamPage tiers splice with. Values materialize after the scan so
@@ -608,9 +494,8 @@ bool CompiledWrapper::SpanMatchesLr(std::string_view stream, size_t begin,
   return std::memcmp(stream.data() + end, right_.data(), right_.size()) == 0;
 }
 
-template <typename Span>
 void CompiledWrapper::MatchLr(std::string_view stream,
-                              const std::vector<Span>& spans,
+                              const std::vector<html::StreamSpan>& spans,
                               std::vector<std::string_view>* values) const {
   if (left_.empty()) {
     for (const auto& span : spans) {
@@ -642,9 +527,8 @@ void CompiledWrapper::MatchLr(std::string_view stream,
   }
 }
 
-template <typename Span>
 void CompiledWrapper::MatchHlrt(std::string_view stream,
-                                const std::vector<Span>& spans,
+                                const std::vector<html::StreamSpan>& spans,
                                 std::vector<std::string_view>* values) const {
   // Region, exactly as hlrt_inductor.cc: after the first head occurrence,
   // before the first tail occurrence after that; no head occurrence → {0,0}.

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/wrapper.h"
-#include "html/arena_dom.h"
 #include "html/stream_page.h"
 
 namespace ntw::core {
@@ -35,36 +34,11 @@ class StringSearcher {
   size_t skip_[256] = {};
 };
 
-/// Reusable per-request buffers for the DOM fast path: the arena document
-/// plus the evaluator scratch. Acquire one from a BufferPool, parse into
-/// `doc`, run CompiledWrapper::Extract, copy the values out, release.
-/// Everything keeps its capacity across uses; steady state allocates
-/// nothing.
-class FastPageBuffer {
- public:
-  html::ArenaDocument doc;
-  /// Output slot for CompiledWrapper::Extract — views into `doc`.
-  std::vector<std::string_view> values;
-
-  /// Recycles for the next request (keeps capacity).
-  void Clear();
-
- private:
-  friend class CompiledWrapper;
-
-  // XPath step-machine scratch: current/next context sets and an
-  // epoch-marked dedup table.
-  std::vector<int32_t> current_;
-  std::vector<int32_t> next_;
-  std::vector<uint32_t> marks_;
-  uint32_t epoch_ = 0;
-};
-
 /// One open element's state in the fused streaming-XPath executor
 /// (CompiledWrapper::ExtractStreaming on streamable() plans): the
-/// per-step match bitsets plus the child counters the arena tree builder
-/// would keep on its frames. Pooled by depth inside StreamPageBuffer so
-/// the tag_counts vectors keep capacity across pages.
+/// per-step match bitsets plus the child counters the heap tree builder
+/// keeps on its nodes. Pooled by depth inside StreamPageBuffer so the
+/// tag_counts vectors keep capacity across pages.
 struct StreamXPathFrame {
   std::string_view tag;  // Interned — process-stable across the build.
   int32_t tag_id = -1;
@@ -75,18 +49,18 @@ struct StreamXPathFrame {
   // cached at push so the per-start-tag implied-close probe is one bool
   // instead of the parse_rules string comparisons. (Scope boundaries are
   // never implied-closable, so this also covers the IsScopeBoundary
-  // break in the builders' loops.)
+  // break in the tree builder's loop.)
   bool may_imply_close = false;
   // (tag_id, count) for element children seen so far — same_tag_child_
-  // number bookkeeping, linear scan as in ArenaTreeBuilder::Frame.
+  // number bookkeeping; the distinct-tag count per parent is small, so a
+  // linear scan beats a hash map.
   std::vector<std::pair<int32_t, int32_t>> tag_counts;
 };
 
 /// Reusable per-request buffer for the streaming (no-DOM) path: the
 /// flattened stream page, the value slot, and the fused streaming-XPath
-/// executor's scratch. Much lighter than FastPageBuffer — no arena and
-/// no node arrays; the XPath scratch is a depth-pooled frame stack plus
-/// one capture string for matched text.
+/// executor's scratch — a depth-pooled frame stack plus one capture
+/// string for matched text. Everything keeps its capacity across uses.
 class StreamPageBuffer {
  public:
   html::StreamPage page;
@@ -110,13 +84,13 @@ class StreamPageBuffer {
   html::Token xtoken_;                     // Tokenizer slot.
   std::string xcapture_;                   // Matched text, collapsed.
   // Result extents into xcapture_ in document order; npos marks an
-  // element match (its value is the empty string, as on the DOM path).
+  // element match (its value is the empty string, as in the interpreter).
   std::vector<std::pair<size_t, size_t>> xextents_;
 };
 
-/// A thread-safe free list of per-request buffers (FastPageBuffer for the
-/// DOM fast path, StreamPageBuffer for the streaming path). Lease
-/// RAII-returns the buffer (Clear()ed) on destruction.
+/// A thread-safe free list of per-request buffers (StreamPageBuffer, or
+/// the fused matcher's scratch). Lease RAII-returns the buffer
+/// (Clear()ed) on destruction.
 template <class Buffer>
 class BufferPool {
  public:
@@ -167,38 +141,38 @@ class BufferPool {
   std::vector<std::unique_ptr<Buffer>> free_;
 };
 
-using FastBufferPool = BufferPool<FastPageBuffer>;
 using StreamBufferPool = BufferPool<StreamPageBuffer>;
 
 /// A wrapper compiled into an executable plan:
-///   - XPATH  → a step program over interned tag/attr ids (no string
-///              compares on the hot path); needs the arena DOM;
+///   - XPATH  → a step program over interned tag ids, run as a bitset
+///              machine over the tokenizer event stream;
 ///   - LR     → occurrence-driven scan of the flattened stream using a BMH
 ///              searcher for the left delimiter;
 ///   - HLRT   → BMH head/tail region narrowing, then anchored LR checks.
 ///
 /// LR and HLRT are defined purely over the flattened character stream —
-/// they never touch the tree — so they are classified dom_free() and can
-/// additionally execute via ExtractStreaming(), which builds the stream
-/// with a StreamPage (no DOM at all) instead of flattening an arena DOM.
+/// they never touch the tree — so they are classified dom_free() and
+/// execute via ExtractStreaming(), which builds the stream with a
+/// StreamPage (no DOM at all).
 ///
 /// XPath plans are not dom_free(), but almost all of them are
-/// streamable(): the step program can run as a bitset NFA directly
-/// against the tokenizer event stream — an explicit open-tag depth stack
-/// carrying per-step match frames, interned-id tag/attr comparison
-/// through the intern front cache, positional filters computed from the
-/// same per-frame counters the tree builder keeps — so matching requests
-/// never construct arena nodes and only matched text is ever copied.
-/// ExtractStreaming() takes that fused path for streamable() XPath plans.
+/// streamable(): the step program runs as a bitset NFA directly against
+/// the tokenizer event stream — an explicit open-tag depth stack carrying
+/// per-step match frames, interned-id tag comparison through the intern
+/// front cache, positional filters computed from the same per-parent
+/// counters the tree builder keeps — so no node is ever constructed and
+/// only matched text is copied. A plan that is not streamable() (0 or
+/// ≥64 steps) has no compiled execution: core::ExtractionRouter sends
+/// its pages to the heap-DOM interpreter.
 ///
-/// Extract() returns, for the single page in `buffer.doc`, exactly the
-/// values the interpreted Wrapper::Extract + node->text() pipeline returns
-/// for the same input, in the same order — the byte-identity contract the
-/// serving layer relies on (tests/fastpath_equivalence_test.cc pins it).
-/// ExtractStreaming() returns those same bytes again, because StreamPage
-/// reproduces the arena flatten byte for byte. The returned string_views
-/// point into the buffer (and, on the streaming path's zero-copy tier,
-/// possibly into the raw input); consume them before releasing either.
+/// ExtractStreaming() returns exactly the values the interpreted
+/// Wrapper::Extract + node->text() pipeline returns for the same input,
+/// in the same order — the byte-identity contract the serving layer
+/// relies on (tests/fastpath_equivalence_test.cc and
+/// tests/streaming_equivalence_test.cc pin it). The returned
+/// string_views point into the buffer (and, on the streaming path's
+/// zero-copy tier, possibly into the raw input); consume them before
+/// releasing either.
 class CompiledWrapper {
  public:
   /// Compiles `wrapper` (an XPathWrapper, LrWrapper or HlrtWrapper).
@@ -231,14 +205,11 @@ class CompiledWrapper {
   static std::shared_ptr<const CompiledWrapper> MakeXPath(
       const std::vector<XPathStepSpec>& steps);
 
-  void Extract(FastPageBuffer& buffer,
-               std::vector<std::string_view>* values) const;
-
   /// Streaming no-DOM execution over the raw request bytes: the stream
   /// matchers for dom_free() plans (LR/HLRT), the fused tokenize→
   /// plan-execute machine for streamable() XPath plans. An XPath plan
   /// that is not streamable() yields no values — callers route those to
-  /// the DOM path.
+  /// the interpreter.
   void ExtractStreaming(std::string_view raw_page, StreamPageBuffer& buffer,
                         std::vector<std::string_view>* values) const;
 
@@ -293,30 +264,25 @@ class CompiledWrapper {
     int32_t child_number = -1;  // -1 = no filter (0 is a legal, unmatchable
                                 // value: child numbers are 1-based)
     struct AttrFilter {
-      int32_t name_id;    // Arena path: interned-id FindAttr lookup.
-      std::string name;   // Fused path: raw byte compare (the tokenizer
-                          // already lowercases), no per-attr interning.
+      std::string name;  // Raw byte compare: the tokenizer already
+                         // lowercases, so no per-attr interning.
       std::string value;
     };
     std::vector<AttrFilter> attr_filters;
   };
 
-  void ExtractXPath(FastPageBuffer& buffer,
-                    std::vector<std::string_view>* values) const;
   // The fused tokenize→plan-execute machine (streamable() plans only).
   void ExtractXPathStreaming(std::string_view raw_page,
                              StreamPageBuffer& buffer,
                              std::vector<std::string_view>* values) const;
   // Computes streamable_ and the per-axis step masks from steps_.
   void FinalizeXPath();
-  // The LR/HLRT matchers, shared by the DOM path (ArenaDocument spans)
-  // and the streaming path (StreamPage spans): any span type with
-  // .begin/.end works, so both paths run the identical matching logic.
-  template <typename Span>
-  void MatchLr(std::string_view stream, const std::vector<Span>& spans,
+  // The LR/HLRT matchers over a StreamPage's stream and spans.
+  void MatchLr(std::string_view stream,
+               const std::vector<html::StreamSpan>& spans,
                std::vector<std::string_view>* values) const;
-  template <typename Span>
-  void MatchHlrt(std::string_view stream, const std::vector<Span>& spans,
+  void MatchHlrt(std::string_view stream,
+                 const std::vector<html::StreamSpan>& spans,
                  std::vector<std::string_view>* values) const;
   bool SpanMatchesLr(std::string_view stream, size_t begin,
                      size_t end) const;

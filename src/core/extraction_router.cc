@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "html/arena_dom.h"
 #include "html/parser.h"
 
 namespace ntw::core {
@@ -11,7 +10,7 @@ ExtractionRouter::Page ExtractionRouter::Extract(
     const Wrapper& wrapper, const CompiledWrapper* compiled,
     std::string_view page) const {
   Page out;
-  if (!options_.fast_path || !options_.streaming) {
+  if (!options_.fast_path) {
     out.fallback_ = StreamingFallback::kDisabled;
   } else if (compiled == nullptr) {
     out.fallback_ = StreamingFallback::kNoPlan;
@@ -29,19 +28,7 @@ ExtractionRouter::Page ExtractionRouter::Extract(
     out.fallback_ = StreamingFallback::kUnstreamableXPath;
   }
 
-  if (options_.fast_path && compiled != nullptr) {
-    out.route_ = ExtractRoute::kArena;
-    FastPageBuffer& buffer = *out.arena_.emplace(arena_buffers_.Acquire());
-    html::ArenaParse(page, &buffer.doc);
-    compiled->Extract(buffer, &buffer.values);
-    const Arena& arena = buffer.doc.arena();
-    out.arena_bytes_reused_ =
-        static_cast<int64_t>(arena.used() - arena.fresh_bytes());
-    out.values_ = &buffer.values;
-    return out;
-  }
-
-  // The reference path every other route is byte-identical to.
+  // The reference path the streaming routes are byte-identical to.
   out.route_ = ExtractRoute::kInterpreter;
   Result<html::Document> doc = html::Parse(page);
   if (!doc.ok()) return out;

@@ -17,15 +17,14 @@ namespace ntw::core {
 enum class ExtractRoute : uint8_t {
   kStreamingDelimiter,  // LR/HLRT plan over a StreamPage, no DOM.
   kStreamingXPath,      // streamable() XPath plan off the tokenizer.
-  kArena,               // Arena DOM + compiled plan.
   kInterpreter,         // Heap DOM + Wrapper::Extract.
 };
 
 /// Why a page left the streaming routes; kNone on them. The three
-/// reasons partition the arena and interpreter pages.
+/// reasons partition the interpreter pages.
 enum class StreamingFallback : uint8_t {
   kNone,
-  kDisabled,           // fast_path or streaming off.
+  kDisabled,           // fast_path off.
   kNoPlan,             // No compiled plan for the wrapper.
   kUnstreamableXPath,  // XPath plan outside streamable()'s bit budget.
 };
@@ -33,18 +32,16 @@ enum class StreamingFallback : uint8_t {
 struct ExtractionRouterOptions {
   /// Off: every page goes to the interpreter (--no-fast-path).
   bool fast_path = true;
-  /// Off: compiled plans take the arena route (--no-streaming).
-  bool streaming = true;
   /// Off: ScanSite never scans, every attribute routes alone (--no-fused).
   bool fused = true;
 };
 
-/// The one extraction ladder every caller shares — serving, the crawl and
-/// the offline CLI. Extract() picks the cheapest route the plan allows:
-///   streaming  for dom_free() LR/HLRT plans and streamable() XPath plans,
-///   arena      for the remaining compiled plans (or streaming off),
-///   interpreter when there is no plan (or fast_path off).
-/// Every route returns the same bytes in the same order — the
+/// The one extraction router every caller shares — serving, the crawl and
+/// the offline CLI. Extract() picks one of two routes:
+///   streaming   for dom_free() LR/HLRT plans and streamable() XPath plans,
+///   interpreter for everything else: no plan, fast_path off, or an XPath
+///               plan outside streamable()'s bit budget (0 or ≥64 steps).
+/// Both routes return the same bytes in the same order — the
 /// byte-identity contract of DESIGN.md §10/§12. Callers keep only their
 /// output format, counters and drift feed.
 ///
@@ -67,8 +64,6 @@ class ExtractionRouter {
     html::StreamPage::Tier tier() const { return tier_; }
     /// True when a site's fused scan produced the values (ScanSite).
     bool fused() const { return fused_; }
-    /// Arena bytes served from recycled capacity (kArena only).
-    int64_t arena_bytes_reused() const { return arena_bytes_reused_; }
     const std::vector<std::string_view>& values() const {
       return values_ != nullptr ? *values_ : interpreted_views_;
     }
@@ -81,11 +76,9 @@ class ExtractionRouter {
     StreamingFallback fallback_ = StreamingFallback::kNone;
     html::StreamPage::Tier tier_ = html::StreamPage::Tier::kVerbatim;
     bool fused_ = false;
-    int64_t arena_bytes_reused_ = 0;
     // Null on the interpreter route, whose views live in this object.
     const std::vector<std::string_view>* values_ = nullptr;
     std::optional<StreamBufferPool::Lease> stream_;
-    std::optional<FastBufferPool::Lease> arena_;
     std::vector<std::string> interpreted_;
     std::vector<std::string_view> interpreted_views_;
   };
@@ -122,9 +115,7 @@ class ExtractionRouter {
 
   /// Whether ScanSite can use a fused extractor; callers skip the
   /// repository's FindFused lookup when it cannot.
-  bool fused_enabled() const {
-    return options_.fast_path && options_.streaming && options_.fused;
-  }
+  bool fused_enabled() const { return options_.fast_path && options_.fused; }
 
   /// Routes one page through `wrapper`'s cheapest path; `compiled` is
   /// the wrapper's plan, or null when it has none.
@@ -139,7 +130,6 @@ class ExtractionRouter {
 
  private:
   Options options_;
-  mutable FastBufferPool arena_buffers_;
   mutable StreamBufferPool stream_buffers_;
   mutable FusedScratchPool fused_scratch_;
 };

@@ -21,9 +21,9 @@ struct CrawlMetrics {
   obs::Counter* links_discovered;
   obs::Counter* bytes_fetched;
   /// Records by extraction route, one add per record: delimiter (LR/HLRT)
-  /// streaming, fused or alone; streaming XPath; and the arena and
-  /// interpreter records by fallback reason. Disjoint, so the five sum
-  /// to records_emitted (serve's streaming_pages also counts XPath).
+  /// streaming, fused or alone; streaming XPath; and the interpreter
+  /// records by fallback reason. Disjoint, so the five sum to
+  /// records_emitted (serve's streaming_pages also counts XPath).
   obs::Counter* streaming_pages;
   obs::Counter* streaming_xpath_pages;
   obs::Counter* streaming_fallback_disabled;
@@ -60,7 +60,6 @@ struct CrawlMetrics {
         return streaming_pages;
       case core::ExtractRoute::kStreamingXPath:
         return streaming_xpath_pages;
-      case core::ExtractRoute::kArena:
       case core::ExtractRoute::kInterpreter:
         break;
     }
@@ -116,8 +115,8 @@ CrawlPipeline::CrawlPipeline(const serve::WrapperRepository* repository,
                           options_.max_pages, options_.domain_parallelism},
           &limiter_),
       robots_(options_.robots_ttl_seconds),
-      router_(core::ExtractionRouter::Options{
-          options_.fast_path, options_.streaming, options_.fused}) {
+      router_(core::ExtractionRouter::Options{.fast_path = options_.fast_path,
+                                              .fused = options_.fused}) {
   if (options_.workers < 1) options_.workers = 1;
   // A full emit window must always contain a seq some worker owns.
   if (options_.emit_window <= static_cast<size_t>(options_.workers)) {

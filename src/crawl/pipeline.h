@@ -44,12 +44,12 @@ struct CrawlOptions {
   // (SiteFromUrl) when the whole crawl targets one site.
   std::string attribute;
   std::string fixed_site;
+  /// Off: every page goes to the heap-DOM interpreter.
   bool fast_path = true;
-  bool streaming = true;
   /// Scan each page once with the site's fused multi-pattern automaton
   /// when it covers two or more dom_free wrappers (DESIGN.md §15),
   /// instead of one BMH pass per attribute. Only consulted when fast_path
-  /// and streaming are on and no single `attribute` filter applies.
+  /// is on and no single `attribute` filter applies.
   /// Output bytes are identical either way.
   bool fused = true;
   /// Feed drift detectors and enqueue re-induction (needs a reinducer).
@@ -111,7 +111,7 @@ class EmitQueue {
 /// The fetch→extract→emit workload (DESIGN.md §14): a frontier-driven
 /// crawl over file:// and http:// origins that extracts through the
 /// serving stack's core::ExtractionRouter (streaming no-DOM for LR/HLRT
-/// and streamable XPath → arena fast path → interpreted, all
+/// and streamable XPath, the heap-DOM interpreter for the rest, all
 /// byte-identical) against a WrapperRepository snapshot, and emits
 /// one ntw-crawl-record NDJSON line per (page, attribute) in frontier
 /// dispatch order. Given a fixed seed order the output bytes are

@@ -40,7 +40,7 @@ Result<core::PageSet> LoadPagesFromDirectory(const std::string& directory);
 
 /// Reads the same .html files in the same (sorted) order as
 /// LoadPagesFromDirectory, but returns the raw bytes unparsed — the input
-/// the compiled fast path (arena DOM) consumes. Index i here corresponds
+/// the streaming fast path consumes. Index i here corresponds
 /// to page i of the PageSet the sibling function builds.
 Result<std::vector<std::string>> LoadPageSourcesFromDirectory(
     const std::string& directory);

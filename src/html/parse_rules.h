@@ -6,9 +6,10 @@
 namespace ntw::html {
 
 /// Tag-soup recovery rules shared by the heap tree builder (parser.cc) and
-/// the arena tree builder (arena_dom.cc). The two parse modes must produce
-/// structurally identical trees — keeping the rules in one place is what
-/// makes the fast path's byte-identity contract hold by construction.
+/// the streaming paths (StreamPage and the fused XPath executor), which
+/// must resolve tag soup exactly as the tree does — keeping the rules in
+/// one place is what makes the byte-identity contract hold by
+/// construction.
 
 /// True when an open <`open`> element is implicitly closed by an incoming
 /// start tag <`incoming`> (HTML5 "implied end tags" restricted to what

@@ -12,8 +12,8 @@ namespace ntw::html {
 
 // Tags whose open instance is implicitly closed when a sibling of the same
 // group starts. Modeled on the HTML5 "implied end tags" rules restricted to
-// what listing pages actually use. Shared with the arena builder via
-// parse_rules.h so the two parse modes cannot drift.
+// what listing pages actually use. Shared with the streaming scanners via
+// parse_rules.h so the tree and the streams cannot drift.
 bool CloseImpliedBy(std::string_view open, std::string_view incoming) {
   if (open == "li" && incoming == "li") return true;
   if (open == "option" && incoming == "option") return true;

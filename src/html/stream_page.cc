@@ -1,9 +1,9 @@
 #include "html/stream_page.h"
 
 #include "common/strings.h"
-#include "html/arena_dom.h"
 #include "html/dom.h"
 #include "html/entities.h"
+#include "html/name_table.h"
 #include "html/parse_rules.h"
 #include "html/scan.h"
 

@@ -19,18 +19,18 @@ struct StreamSpan {
 /// Appends CollapseWhitespace(text) to `out`, separator-joining the word
 /// runs. Returns true when anything was appended (i.e. the text was not
 /// whitespace-only — the skip_whitespace_text rule falls out for free).
-/// This is the exact text normalization the tree builders apply, shared
+/// This is the exact text normalization the tree builder applies, shared
 /// here so the fused streaming-XPath executor captures matched text nodes
-/// with the same bytes the arena DOM would store.
+/// with the same bytes the heap DOM stores.
 bool AppendCollapsedText(std::string_view text, std::string* out);
 
 /// A page reduced to the flattened character stream plus its text spans —
 /// the only inputs the LR/HLRT delimiter matchers consume — built without
 /// constructing any DOM. The produced stream is byte-identical to
-/// ArenaDocument::stream()/spans() for the same input under the default
+/// text::CharView over html::Parse of the same input under the default
 /// ParseOptions (collapse whitespace, skip whitespace-only text), which is
-/// what makes the serving fast path's byte-identity contract carry over to
-/// the streaming path (tests/streaming_equivalence_test.cc pins it).
+/// what makes the interpreter's results carry over to the streaming path
+/// (tests/streaming_equivalence_test.cc pins it).
 ///
 /// Three tiers, one scanner:
 ///

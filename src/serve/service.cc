@@ -22,18 +22,17 @@ struct ServiceMetrics {
   obs::ShardedCounter* values_extracted;
   obs::ShardedCounter* batch_lines;
   obs::ShardedCounter* wrapper_misses;
-  obs::ShardedCounter* arena_bytes_reused;
   obs::ShardedCounter* streaming_pages;
   obs::ShardedCounter* streaming_verbatim_pages;
   obs::ShardedCounter* streaming_patched_pages;
   obs::ShardedCounter* streaming_flattened_pages;
   /// Pages served by the fused streaming XPath executor (tokenizer event
-  /// stream, no arena DOM, no StreamPage build — so no tier counter).
+  /// stream, no StreamPage build — so no tier counter).
   obs::ShardedCounter* streaming_xpath_pages;
   /// Pages that fell off the streaming path, by reason: the toggle was
-  /// off (--no-streaming or --no-fast-path), the entry has no compiled
-  /// plan, or the plan is an XPath program outside streamable()'s bit
-  /// budget. Their sum is exactly the non-streaming page count.
+  /// off (--no-fast-path), the entry has no compiled plan, or the plan is
+  /// an XPath program outside streamable()'s bit budget. Their sum is
+  /// exactly the interpreted page count.
   obs::ShardedCounter* streaming_fallback_disabled;
   obs::ShardedCounter* streaming_fallback_no_plan;
   obs::ShardedCounter* streaming_fallback_unstreamable_xpath;
@@ -48,8 +47,6 @@ struct ServiceMetrics {
         obs::Registry::Global().GetShardedCounter("ntw.serve.values_extracted"),
         obs::Registry::Global().GetShardedCounter("ntw.serve.batch_lines"),
         obs::Registry::Global().GetShardedCounter("ntw.serve.wrapper_misses"),
-        obs::Registry::Global().GetShardedCounter(
-            "ntw.serve.arena_bytes_reused"),
         obs::Registry::Global().GetShardedCounter("ntw.serve.streaming_pages"),
         obs::Registry::Global().GetShardedCounter(
             "ntw.serve.streaming_verbatim_pages"),
@@ -169,9 +166,6 @@ void ExtractService::CountRoute(
       metrics.streaming_pages->Add(shard, 1);
       metrics.streaming_xpath_pages->Add(shard, 1);
       return;
-    case core::ExtractRoute::kArena:
-      metrics.arena_bytes_reused->Add(shard, page.arena_bytes_reused());
-      break;
     case core::ExtractRoute::kInterpreter:
       break;
   }

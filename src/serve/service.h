@@ -30,15 +30,14 @@ namespace ntw::serve {
 /// bytes, whatever the concurrency (the batch fan-out writes pre-sized
 /// per-line slots that are joined in input order).
 ///
-/// Extraction goes through core::ExtractionRouter, the ladder the crawl
+/// Extraction goes through core::ExtractionRouter, the router the crawl
 /// and ntw_extract share: by default dom_free() plans (LR/HLRT —
 /// DESIGN.md §12) stream over a StreamPage and streamable() XPath plans
 /// run the fused tokenize→plan-execute machine, neither building a DOM;
-/// other compiled plans take the arena fast path, and entries without a
-/// plan the interpreter. `streaming = false` — the daemon's
-/// --no-streaming — pins compiled plans to the arena path, and
-/// `fast_path = false` — --no-fast-path — forces the interpreted
-/// Wrapper::Extract path. All routes are byte-identical by contract,
+/// entries without a plan, and degenerate XPath plans, go to the
+/// heap-DOM interpreter. `fast_path = false` — the daemon's
+/// --no-fast-path — sends every page to the interpreted
+/// Wrapper::Extract path. Both routes are byte-identical by contract,
 /// pinned by tests/fastpath_equivalence_test.cc,
 /// tests/streaming_equivalence_test.cc and the ntw_loadgen cross-check.
 ///
@@ -48,25 +47,20 @@ namespace ntw::serve {
 /// (`Options::shard`). The repository is shared — reads go through its
 /// wait-free epoch pin, never a lock.
 struct ExtractServiceOptions {
+  /// Off: every page goes to the heap-DOM interpreter.
   bool fast_path = true;
   /// Metric stripe this instance records into (the owning reactor's id).
   int shard = 0;
-  /// Route dom_free() plans and streamable() XPath plans through the
-  /// streaming no-DOM paths. Only consulted when fast_path is on.
-  /// (Declared after `shard` so existing `Options{true, n}`
-  /// brace-initializers keep their meaning.)
-  bool streaming = true;
   /// Feed per-entry drift detectors after every extraction and enqueue
   /// re-induction repairs (DESIGN.md §13). Only effective when the
   /// service was constructed with a ReinduceWorker and the repository has
-  /// a drift config installed. (Declared after `streaming` — see there.)
+  /// a drift config installed.
   bool self_heal = true;
   /// `attribute=*` requests: scan the page once with the site's fused
   /// multi-pattern automaton (DESIGN.md §15) instead of once per
   /// attribute, for sites with two or more dom_free plans. Only
-  /// consulted when fast_path and streaming are on; the daemon's
-  /// --no-fused turns it off. Byte-identical either way.
-  /// (Declared last — see `streaming`.)
+  /// consulted when fast_path is on; the daemon's --no-fused turns it
+  /// off. Byte-identical either way.
   bool fused = true;
 };
 
@@ -80,8 +74,8 @@ class ExtractService {
         pool_(pool),
         options_(options),
         reinducer_(reinducer),
-        router_(core::ExtractionRouter::Options{
-            options.fast_path, options.streaming, options.fused}) {}
+        router_(core::ExtractionRouter::Options{.fast_path = options.fast_path,
+                                                .fused = options.fused}) {}
 
   HttpResponse Handle(const HttpRequest& request) const;
 
@@ -133,7 +127,7 @@ class ExtractService {
   ThreadPool* pool_;
   Options options_;
   ReinduceWorker* reinducer_ = nullptr;
-  // The extraction ladder and its buffer pools (internally synchronized,
+  // The extraction router and its buffer pools (internally synchronized,
   // so Handle() stays const and thread-safe). One per service instance —
   // per shard in the sharded daemon.
   core::ExtractionRouter router_;

@@ -61,9 +61,10 @@ OriginCorpus MakeOriginCorpus(const OriginOptions& options);
 Status WriteOriginTree(const OriginCorpus& corpus, const std::string& root);
 
 /// Learns wrappers for every site from its ground truth and writes a
-/// WrapperRepository tree: `<root>/<site>/name.wrapper` (XPATH; arena
-/// fast path) and `<root>/<site>/name_lr.wrapper` (LR; dom_free, the
-/// streaming tier) — the crawl then exercises every extraction tier.
+/// WrapperRepository tree: `<root>/<site>/name.wrapper` (XPATH; the
+/// streaming XPath executor) and `<root>/<site>/name_lr.wrapper` (LR;
+/// dom_free, the streaming delimiter path) — the crawl then exercises
+/// both streaming routes.
 Status WriteOriginWrapperRepository(const OriginCorpus& corpus,
                                     const std::string& root);
 

@@ -160,14 +160,11 @@ TEST_F(CrawlTest, StreamingRoutesMatchInterpreterAndCountEveryRecord) {
         << workers << " workers";
   }
 
-  // --no-streaming pins both plans to the arena DOM; same bytes, and the
-  // records count as disabled fallbacks.
-  CrawlOptions arena;
-  arena.max_depth = 1;
-  arena.workers = 2;
-  arena.streaming = false;
+  // --no-fast-path sends both plans to the interpreter; the records
+  // count as disabled fallbacks.
+  reference.workers = 2;
   std::vector<int64_t> before = snapshot();
-  EXPECT_EQ(Crawl(arena, {IndexSeed()}), interpreted);
+  EXPECT_EQ(Crawl(reference, {IndexSeed()}), interpreted);
   EXPECT_EQ(deltas(before), (std::vector<int64_t>{0, 0, 32, 0, 0}));
 }
 

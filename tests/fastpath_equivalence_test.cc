@@ -1,11 +1,11 @@
-// Pins the fast-path determinism contract: a CompiledWrapper executed
-// over the arena DOM returns exactly the values the interpreted
-// Wrapper::Extract + node->text() pipeline returns, for every wrapper
-// kind (XPATH, LR, HLRT) on every page of a generated corpus — with the
-// streaming path joining the comparison for dom_free() plans (the no-DOM
-// stream matchers) and streamable() XPath plans (the fused tokenize→
-// plan-execute machine) — and at the service layer, ExtractService in
-// streaming, arena-DOM and interpreted configurations produces
+// Pins the fast-path determinism contract: a CompiledWrapper executed on
+// the streaming path — the no-DOM stream matchers for dom_free() plans,
+// the fused tokenize→plan-execute machine for streamable() XPath plans —
+// returns exactly the values the interpreted Wrapper::Extract +
+// node->text() pipeline returns, for every wrapper kind (XPATH, LR,
+// HLRT) on every page of a generated corpus; the ExtractionRouter sends
+// degenerate XPath plans to that interpreter; and at the service layer,
+// ExtractService in streaming and interpreted configurations produces
 // byte-identical HTTP responses for /extract and /extract_batch.
 
 #include <unistd.h>
@@ -18,17 +18,18 @@
 #include "common/file_util.h"
 #include "common/thread_pool.h"
 #include "core/compiled_wrapper.h"
+#include "core/extraction_router.h"
 #include "core/hlrt_inductor.h"
 #include "core/lr_inductor.h"
 #include "core/wrapper_store.h"
 #include "core/xpath_inductor.h"
 #include "datasets/dealers.h"
 #include "gtest/gtest.h"
-#include "html/arena_dom.h"
 #include "html/parser.h"
 #include "html/serializer.h"
 #include "serve/service.h"
 #include "serve/wrapper_repository.h"
+#include "xpath/ast.h"
 
 namespace ntw {
 namespace {
@@ -47,16 +48,6 @@ std::vector<std::string> InterpretedValues(const core::Wrapper& wrapper,
     if (node != nullptr) values.push_back(node->text());
   }
   return values;
-}
-
-std::vector<std::string> FastValues(const core::CompiledWrapper& compiled,
-                                    core::FastPageBuffer& buffer,
-                                    const std::string& source) {
-  buffer.Clear();
-  html::ArenaParse(source, &buffer.doc);
-  compiled.Extract(buffer, &buffer.values);
-  return std::vector<std::string>(buffer.values.begin(),
-                                  buffer.values.end());
 }
 
 std::vector<std::string> StreamingValues(
@@ -81,11 +72,9 @@ class FastPathEquivalenceTest : public ::testing::Test {
     dealers_ = nullptr;
   }
 
-  /// Learns one wrapper per site with `inductor` and checks fast ==
-  /// interpreted (and, for dom_free() plans, == streaming) on every page
-  /// of every site.
+  /// Learns one wrapper per site with `inductor` and checks streaming ==
+  /// interpreted on every page of every site.
   void CheckInductor(const core::WrapperInductor& inductor) {
-    core::FastPageBuffer buffer;
     core::StreamPageBuffer stream_buffer;
     for (const datasets::SiteData& site : dealers_->sites) {
       auto truth = site.site.truth.find("name");
@@ -97,19 +86,15 @@ class FastPathEquivalenceTest : public ::testing::Test {
           core::CompiledWrapper::Compile(*induction.wrapper);
       ASSERT_NE(compiled, nullptr)
           << "no compiled form for " << induction.wrapper->ToString();
+      // Every learned plan has a streaming form: LR/HLRT are dom_free(),
+      // and every induced XPath program is streamable() (≤63 steps).
+      ASSERT_TRUE(compiled->dom_free() || compiled->streamable())
+          << induction.wrapper->ToString();
       for (size_t p = 0; p < site.site.pages.size(); ++p) {
         std::string source =
             html::Serialize(site.site.pages.page(p).root());
         std::vector<std::string> interpreted =
             InterpretedValues(*induction.wrapper, source);
-        EXPECT_EQ(FastValues(*compiled, buffer, source), interpreted)
-            << "site " << site.site.name << " page " << p << " wrapper "
-            << induction.wrapper->ToString();
-        // Every learned plan has a streaming form: LR/HLRT are
-        // dom_free(), and every induced XPath program is streamable()
-        // (≤63 steps); the fused executor must match byte for byte.
-        ASSERT_TRUE(compiled->dom_free() || compiled->streamable())
-            << induction.wrapper->ToString();
         EXPECT_EQ(StreamingValues(*compiled, stream_buffer, source),
                   interpreted)
             << "streaming, site " << site.site.name << " page " << p
@@ -149,11 +134,73 @@ TEST_F(FastPathEquivalenceTest, WrapperRoundTripThroughStoreStaysEquivalent) {
   std::shared_ptr<const core::CompiledWrapper> compiled =
       core::CompiledWrapper::Compile(**loaded);
   ASSERT_NE(compiled, nullptr);
-  core::FastPageBuffer buffer;
+  core::StreamPageBuffer buffer;
   for (size_t p = 0; p < site.site.pages.size(); ++p) {
     std::string source = html::Serialize(site.site.pages.page(p).root());
-    EXPECT_EQ(FastValues(*compiled, buffer, source),
+    EXPECT_EQ(StreamingValues(*compiled, buffer, source),
               InterpretedValues(**loaded, source));
+  }
+}
+
+// -------------------------------------------------------------------
+// Router: XPath plans outside streamable()'s bit budget have no compiled
+// execution and must take the heap-DOM interpreter.
+// -------------------------------------------------------------------
+
+TEST(ExtractionRouterTest, DegenerateXPathPlansTakeTheInterpreter) {
+  // 63 nested <div>s around one text node: the 64-step plan
+  // /div/div/…/div/text() (63 tag steps plus text()) selects it.
+  std::string page;
+  for (int i = 0; i < 63; ++i) page += "<div>";
+  page += "deep";
+  for (int i = 0; i < 63; ++i) page += "</div>";
+
+  std::vector<core::CompiledWrapper::XPathStepSpec> deep_specs;
+  xpath::Expr deep_expr;
+  for (int i = 0; i < 64; ++i) {
+    core::CompiledWrapper::XPathStepSpec spec;
+    xpath::Step step;
+    if (i < 63) {
+      spec.tag = "div";
+      step.tag = "div";
+    } else {
+      spec.test = core::CompiledWrapper::XPathStepSpec::Test::kText;
+      step.test = xpath::NodeTest::kText;
+    }
+    deep_specs.push_back(spec);
+    deep_expr.steps.push_back(step);
+  }
+
+  struct Case {
+    const char* name;
+    std::vector<core::CompiledWrapper::XPathStepSpec> specs;
+    xpath::Expr expr;
+    std::vector<std::string> expected;
+  };
+  // The empty program selects the document root, whose text is empty.
+  const Case cases[] = {
+      {"0 steps", {}, xpath::Expr{}, {""}},
+      {"64 steps", deep_specs, deep_expr, {"deep"}},
+  };
+  core::ExtractionRouter router;
+  for (const Case& c : cases) {
+    std::shared_ptr<const core::CompiledWrapper> compiled =
+        core::CompiledWrapper::MakeXPath(c.specs);
+    ASSERT_NE(compiled, nullptr) << c.name;
+    EXPECT_FALSE(compiled->streamable()) << c.name;
+    core::XPathWrapper wrapper(c.expr);
+    std::vector<std::string> interpreted = InterpretedValues(wrapper, page);
+    EXPECT_EQ(interpreted, c.expected) << c.name;
+
+    core::ExtractionRouter::Page routed =
+        router.Extract(wrapper, compiled.get(), page);
+    EXPECT_EQ(routed.route(), core::ExtractRoute::kInterpreter) << c.name;
+    EXPECT_EQ(routed.fallback(), core::StreamingFallback::kUnstreamableXPath)
+        << c.name;
+    EXPECT_EQ(std::vector<std::string>(routed.values().begin(),
+                                       routed.values().end()),
+              interpreted)
+        << c.name;
   }
 }
 
@@ -200,17 +247,11 @@ class ServiceEquivalenceTest : public ::testing::Test {
         std::make_unique<serve::WrapperRepository>(repo_dir_.string());
     ASSERT_TRUE(repository_->Load().ok());
     ASSERT_TRUE(repository_->snapshot()->errors.empty());
-    // Options{true} defaults streaming on, so fast_ routes LR/HLRT through
-    // the no-DOM path; dom_ pins them to the arena fast path instead.
-    fast_ = std::make_unique<serve::ExtractService>(
-        repository_.get(), &ThreadPool::Global(),
-        serve::ExtractService::Options{true});
-    dom_ = std::make_unique<serve::ExtractService>(
-        repository_.get(), &ThreadPool::Global(),
-        serve::ExtractService::Options{true, 0, false});
+    fast_ = std::make_unique<serve::ExtractService>(repository_.get(),
+                                                    &ThreadPool::Global());
     interpreted_ = std::make_unique<serve::ExtractService>(
         repository_.get(), &ThreadPool::Global(),
-        serve::ExtractService::Options{false});
+        serve::ExtractService::Options{.fast_path = false});
   }
 
   void TearDown() override {
@@ -221,13 +262,9 @@ class ServiceEquivalenceTest : public ::testing::Test {
   void ExpectSameResponse(const serve::HttpRequest& request) {
     serve::HttpResponse a = fast_->Handle(request);
     serve::HttpResponse b = interpreted_->Handle(request);
-    serve::HttpResponse c = dom_->Handle(request);
     EXPECT_EQ(a.status, b.status);
     EXPECT_EQ(a.content_type, b.content_type);
     EXPECT_EQ(a.body, b.body);
-    EXPECT_EQ(c.status, b.status);
-    EXPECT_EQ(c.content_type, b.content_type);
-    EXPECT_EQ(c.body, b.body);
   }
 
   std::filesystem::path repo_dir_;
@@ -235,7 +272,6 @@ class ServiceEquivalenceTest : public ::testing::Test {
   std::vector<std::string> sources_;
   std::unique_ptr<serve::WrapperRepository> repository_;
   std::unique_ptr<serve::ExtractService> fast_;
-  std::unique_ptr<serve::ExtractService> dom_;
   std::unique_ptr<serve::ExtractService> interpreted_;
 };
 

@@ -1,19 +1,20 @@
 // Pins the streaming (no-DOM) extraction path's byte-identity contract:
 //
 //  1. StreamPage produces exactly the same flattened stream + text spans
-//     as ArenaDocument (which itself mirrors text::CharView) for every
-//     input — including the entity and whitespace constructs the patched
-//     (copy-on-write) tier fixes in place and the tag-soup and raw-text
-//     constructs that force the fused flatten.
+//     as text::CharView over the heap DOM (html::Parse) for every input —
+//     handwritten tag-soup edge cases, the entity and whitespace
+//     constructs the patched (copy-on-write) tier fixes in place, the
+//     tag-soup and raw-text constructs that force the fused flatten, and
+//     every page of the generated corpora.
 //  2. CompiledWrapper::ExtractStreaming returns byte-identical values to
-//     the DOM fast path AND the interpreted Wrapper::Extract pipeline,
-//     for LR and HLRT plans — the entity-decoding edge cases (delimiters
-//     straddling or containing references, numeric references at span
-//     boundaries) are exercised explicitly, then a randomized seeded
-//     sweep (sites × LR/HLRT × both paths) pins the general case.
+//     the interpreted Wrapper::Extract pipeline for LR and HLRT plans —
+//     the entity-decoding edge cases (delimiters straddling or containing
+//     references, numeric references at span boundaries) are exercised
+//     explicitly, then a randomized seeded sweep (sites × LR/HLRT) pins
+//     the general case.
 //  3. The verbatim (zero-copy) tier engages exactly when it should: its
 //     accept is a claim that raw bytes == normalized stream, so every
-//     accepted page is also cross-checked against the arena flatten.
+//     accepted page is also cross-checked against the CharView flatten.
 //  4. The patched (copy-on-write) tier's tag-soup rewrites — tag/attr
 //     case folding, attribute re-quoting, implied end tags and stray/
 //     mis-nested/EOF closes resolved against the open stack — engage on
@@ -21,8 +22,8 @@
 //     every patched page is byte-identical to the heap-parser reference.
 //  5. CompiledWrapper::ExtractStreaming for streamable() XPath plans (the
 //     fused tokenize→plan-execute machine) returns byte-identical values
-//     to the arena DOM fast path AND the interpreter, across axis/test/
-//     predicate combinations and on the tag-soup corpus.
+//     to the interpreter, across axis/test/predicate combinations and on
+//     the tag-soup corpus.
 
 #include <cstdint>
 #include <memory>
@@ -36,10 +37,11 @@
 #include "datasets/dealers.h"
 #include "datasets/disc.h"
 #include "gtest/gtest.h"
-#include "html/arena_dom.h"
+#include "html/name_table.h"
 #include "html/parser.h"
 #include "html/serializer.h"
 #include "html/stream_page.h"
+#include "text/char_view.h"
 #include "xpath/parser.h"
 
 namespace ntw {
@@ -59,15 +61,6 @@ std::vector<std::string> InterpretedValues(const core::Wrapper& wrapper,
   return values;
 }
 
-std::vector<std::string> DomFastValues(const core::CompiledWrapper& compiled,
-                                       core::FastPageBuffer& buffer,
-                                       const std::string& source) {
-  buffer.Clear();
-  html::ArenaParse(source, &buffer.doc);
-  compiled.Extract(buffer, &buffer.values);
-  return std::vector<std::string>(buffer.values.begin(), buffer.values.end());
-}
-
 std::vector<std::string> StreamingValues(
     const core::CompiledWrapper& compiled, core::StreamPageBuffer& buffer,
     const std::string& source) {
@@ -76,28 +69,39 @@ std::vector<std::string> StreamingValues(
   return std::vector<std::string>(buffer.values.begin(), buffer.values.end());
 }
 
-/// The ground truth for StreamPage: the arena DOM's flatten of the same
-/// input. Any stream or span divergence here breaks every contract above.
-void ExpectStreamMatchesArena(const std::string& source) {
-  html::ArenaDocument doc;
-  html::ArenaParse(source, &doc);
+/// The ground truth for StreamPage: text::CharView's flatten of the heap
+/// DOM of the same input — the stream the interpreter's LR/HLRT wrappers
+/// read. Any stream or span divergence here breaks every contract above.
+void ExpectStreamMatchesCharView(const std::string& source) {
+  Result<html::Document> doc = html::Parse(source);
+  ASSERT_TRUE(doc.ok()) << "input: " << source;
+  text::CharView view(*doc);
   html::StreamPage page;
   page.Build(source);
-  ASSERT_EQ(page.stream(), doc.stream()) << "input: " << source;
-  ASSERT_EQ(page.spans().size(), doc.spans().size()) << "input: " << source;
+  ASSERT_EQ(page.stream(), view.stream()) << "input: " << source;
+  ASSERT_EQ(page.spans().size(), view.spans().size()) << "input: " << source;
   for (size_t i = 0; i < page.spans().size(); ++i) {
-    EXPECT_EQ(page.spans()[i].begin, doc.spans()[i].begin)
+    EXPECT_EQ(page.spans()[i].begin, view.spans()[i].begin)
         << "span " << i << " input: " << source;
-    EXPECT_EQ(page.spans()[i].end, doc.spans()[i].end)
+    EXPECT_EQ(page.spans()[i].end, view.spans()[i].end)
         << "span " << i << " input: " << source;
   }
 }
 
-TEST(StreamPageTest, MatchesArenaFlattenOnTrickyInputs) {
+TEST(StreamPageTest, MatchesCharViewOnTrickyInputs) {
   const char* inputs[] = {
       "",
       "just text",
       "<html><body><b>x</b></body></html>",
+      "<html><body><ul><li>One<li>Two<li>Three</ul></body></html>",
+      // Void elements, bare and single-quoted attributes.
+      "<div class=\"a\" id=x><img src=\"p.png\"><br><input value='v'>"
+      "text</div>",
+      // Duplicate attribute: first position, last value.
+      "<p class=\"a\" id=\"1\" class=\"b\">x</p>",
+      "<td>  AT&amp;T   &#x20AC; 5 </td><td>\n\t</td><td>&bogus;</td>",
+      "<table><tr><td>a<td>b<tr><td>c</table><p>one<p>two",
+      "<div><span>a</span><b>x</b><span>b</span><span>c</span></div>",
       // Entities everywhere: text, attributes, double-encoded.
       "<p>A &amp; B</p>",
       "<p title=\"A &amp; B\">x</p>",
@@ -146,8 +150,20 @@ TEST(StreamPageTest, MatchesArenaFlattenOnTrickyInputs) {
       "<li>two</li></ul></body></html>",
   };
   for (const char* input : inputs) {
-    ExpectStreamMatchesArena(input);
+    ExpectStreamMatchesCharView(input);
   }
+}
+
+TEST(NameTableTest, InternIsStable) {
+  html::NameTable& table = html::NameTable::Global();
+  html::NameTable::Interned a = table.Intern("div");
+  html::NameTable::Interned b = table.Intern("div");
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.name, "div");
+  EXPECT_EQ(a.name.data(), b.name.data());
+  html::NameTable::Interned c = table.Intern("span");
+  EXPECT_NE(c.id, a.id);
+  EXPECT_EQ(table.Intern("div").id, a.id);
 }
 
 TEST(StreamPageTest, VerbatimTierEngagesOnCanonicalPages) {
@@ -163,7 +179,7 @@ TEST(StreamPageTest, VerbatimTierEngagesOnCanonicalPages) {
   EXPECT_TRUE(page.verbatim());
   EXPECT_EQ(page.stream(), source);
   EXPECT_EQ(page.stream().data(), std::string_view(source).data());
-  ExpectStreamMatchesArena(source);
+  ExpectStreamMatchesCharView(source);
 }
 
 TEST(StreamPageTest, PatchedTierFixesLocalRewritesInPlace) {
@@ -172,7 +188,7 @@ TEST(StreamPageTest, PatchedTierFixesLocalRewritesInPlace) {
   // a case fold, an attribute re-quote, or a close tag resolved against
   // the open stack — so the copy-on-write scanner must patch it rather
   // than bail to the full tokenize, and the patched stream must match
-  // the arena flatten.
+  // the CharView flatten.
   const char* inputs[] = {
       "<p>A &amp; B</p>",           // Entity in text.
       "<p title=\"&amp;\">x</p>",   // Entity in attribute value.
@@ -214,7 +230,7 @@ TEST(StreamPageTest, PatchedTierFixesLocalRewritesInPlace) {
     page.Build(input);
     EXPECT_EQ(page.tier(), html::StreamPage::Tier::kPatched)
         << "input: " << input;
-    ExpectStreamMatchesArena(input);
+    ExpectStreamMatchesCharView(input);
   }
 }
 
@@ -224,7 +240,7 @@ TEST(StreamPageTest, FlattenTierHandlesStructuralRewrites) {
   // attributes keep the first position but the last value), the
   // self-closing machinery, dropped comments/doctypes, stray '<' text,
   // raw-text elements running to EOF — so the scanner must bail to the
-  // fused flatten, whose stream must still match the arena flatten.
+  // fused flatten, whose stream must still match the CharView flatten.
   const char* inputs[] = {
       "<a a=\"1\" a=\"2\">x</a>",  // Duplicate attribute.
       "<a A=\"1\" a=\"2\">x</a>",  // Duplicate after case folding.
@@ -243,24 +259,21 @@ TEST(StreamPageTest, FlattenTierHandlesStructuralRewrites) {
     page.Build(input);
     EXPECT_EQ(page.tier(), html::StreamPage::Tier::kFlattened)
         << "input: " << input;
-    ExpectStreamMatchesArena(input);
+    ExpectStreamMatchesCharView(input);
   }
 }
 
-/// Asserts the three-way byte identity for one wrapper on one page.
-void ExpectThreeWayEqual(const core::Wrapper& wrapper,
-                         const std::string& source,
-                         const std::vector<std::string>& expected) {
+/// Asserts the two-way byte identity for one wrapper on one page.
+void ExpectTwoWayEqual(const core::Wrapper& wrapper,
+                       const std::string& source,
+                       const std::vector<std::string>& expected) {
   std::shared_ptr<const core::CompiledWrapper> compiled =
       core::CompiledWrapper::Compile(wrapper);
   ASSERT_NE(compiled, nullptr);
   ASSERT_TRUE(compiled->dom_free());
-  core::FastPageBuffer dom_buffer;
   core::StreamPageBuffer stream_buffer;
   std::vector<std::string> interpreted = InterpretedValues(wrapper, source);
   EXPECT_EQ(interpreted, expected) << "interpreted, input: " << source;
-  EXPECT_EQ(DomFastValues(*compiled, dom_buffer, source), expected)
-      << "dom fast path, input: " << source;
   EXPECT_EQ(StreamingValues(*compiled, stream_buffer, source), expected)
       << "streaming path, input: " << source;
 }
@@ -271,7 +284,7 @@ TEST(StreamingEntityEdgeCases, EntityInsideLeftDelimiter) {
   // delimiter straddles the reference.
   std::string source = "<html><body>A &amp; <i>V</i></body></html>";
   core::LrWrapper lr("A &<i>", "</i>");
-  ExpectThreeWayEqual(lr, source, {"V"});
+  ExpectTwoWayEqual(lr, source, {"V"});
 }
 
 TEST(StreamingEntityEdgeCases, NumericReferencesAtSpanBoundaries) {
@@ -279,7 +292,7 @@ TEST(StreamingEntityEdgeCases, NumericReferencesAtSpanBoundaries) {
   // references (&#65; = 'A', &#x42; = 'B').
   std::string source = "<html><body><i>&#65;mid&#x42;</i></body></html>";
   core::LrWrapper lr("<i>", "</i>");
-  ExpectThreeWayEqual(lr, source, {"AmidB"});
+  ExpectTwoWayEqual(lr, source, {"AmidB"});
 }
 
 TEST(StreamingEntityEdgeCases, DoubleEncodedAmpersandInValue) {
@@ -287,7 +300,7 @@ TEST(StreamingEntityEdgeCases, DoubleEncodedAmpersandInValue) {
   // path must not decode twice.
   std::string source = "<html><body><i>&amp;amp;</i></body></html>";
   core::LrWrapper lr("<i>", "</i>");
-  ExpectThreeWayEqual(lr, source, {"&amp;"});
+  ExpectTwoWayEqual(lr, source, {"&amp;"});
 }
 
 TEST(StreamingEntityEdgeCases, EntityInAttributeInsideDelimiter) {
@@ -296,7 +309,7 @@ TEST(StreamingEntityEdgeCases, EntityInAttributeInsideDelimiter) {
   std::string source =
       "<html><body><td title=\"A &amp; B\">V</td></body></html>";
   core::LrWrapper lr("<td title=\"A & B\">", "</td>");
-  ExpectThreeWayEqual(lr, source, {"V"});
+  ExpectTwoWayEqual(lr, source, {"V"});
 }
 
 TEST(StreamingEntityEdgeCases, UndecodableAmpersandStaysVerbatim) {
@@ -304,7 +317,7 @@ TEST(StreamingEntityEdgeCases, UndecodableAmpersandStaysVerbatim) {
   // page can still take the zero-copy tier.
   std::string source = "<html><body><i>a &nosuch; b</i></body></html>";
   core::LrWrapper lr("<i>", "</i>");
-  ExpectThreeWayEqual(lr, source, {"a &nosuch; b"});
+  ExpectTwoWayEqual(lr, source, {"a &nosuch; b"});
   html::StreamPage page;
   page.Build(source);
   EXPECT_TRUE(page.verbatim());
@@ -317,13 +330,13 @@ TEST(StreamingEntityEdgeCases, HlrtHeadContainsDecodedEntity) {
       "<html><body><i>skip</i>Deals &amp; Offers<i>take</i>"
       "END<i>after</i></body></html>";
   core::HlrtWrapper hlrt("Deals & Offers", "END", "<i>", "</i>");
-  ExpectThreeWayEqual(hlrt, source, {"take"});
+  ExpectTwoWayEqual(hlrt, source, {"take"});
 }
 
 TEST(StreamingEntityEdgeCases, HlrtHeadAbsentYieldsNoValues) {
   std::string source = "<html><body><i>v</i></body></html>";
   core::HlrtWrapper hlrt("NO-SUCH-HEAD", "", "<i>", "</i>");
-  ExpectThreeWayEqual(hlrt, source, {});
+  ExpectTwoWayEqual(hlrt, source, {});
 }
 
 TEST(StreamingEntityEdgeCases, EmptyLeftDelimiter) {
@@ -331,13 +344,13 @@ TEST(StreamingEntityEdgeCases, EmptyLeftDelimiter) {
   // BMH occurrence scan).
   std::string source = "<html><body><i>a</i><b>b</b></body></html>";
   core::LrWrapper lr("", "</b>");
-  ExpectThreeWayEqual(lr, source, {"b"});
+  ExpectTwoWayEqual(lr, source, {"b"});
 }
 
 // The randomized wellbehaved-style sweep: seeded generated sites, one
 // learned LR and one learned HLRT wrapper per site, every page through
-// all three paths, byte identity required. Streams are also cross-checked
-// against the arena flatten page by page.
+// both paths, byte identity required. Streams are also cross-checked
+// against the CharView flatten page by page.
 class StreamingSweepTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StreamingSweepTest, SeededSitesAllPathsIdentical) {
@@ -348,7 +361,6 @@ TEST_P(StreamingSweepTest, SeededSitesAllPathsIdentical) {
 
   core::LrInductor lr;
   core::HlrtInductor hlrt;
-  core::FastPageBuffer dom_buffer;
   core::StreamPageBuffer stream_buffer;
   size_t verbatim_pages = 0;
   size_t patched_pages = 0;
@@ -367,11 +379,9 @@ TEST_P(StreamingSweepTest, SeededSitesAllPathsIdentical) {
       ASSERT_TRUE(compiled->dom_free());
       for (size_t p = 0; p < site.site.pages.size(); ++p) {
         std::string source = html::Serialize(site.site.pages.page(p).root());
-        ExpectStreamMatchesArena(source);
+        ExpectStreamMatchesCharView(source);
         std::vector<std::string> interpreted =
             InterpretedValues(*induction.wrapper, source);
-        EXPECT_EQ(DomFastValues(*compiled, dom_buffer, source), interpreted)
-            << "site " << site.site.name << " page " << p;
         EXPECT_EQ(StreamingValues(*compiled, stream_buffer, source),
                   interpreted)
             << "site " << site.site.name << " page " << p;
@@ -396,7 +406,7 @@ TEST_P(StreamingSweepTest, SeededSitesAllPathsIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingSweepTest,
                          ::testing::Values(11u, 99u, 12345u));
 
-TEST(StreamingSweepTest, DiscDatasetStreamsMatchArena) {
+TEST(StreamingSweepTest, DiscDatasetStreamsMatchCharView) {
   // A second domain (DISC discographies: apostrophes, punctuation-heavy
   // titles) purely at the stream level.
   datasets::DiscConfig config;
@@ -407,7 +417,7 @@ TEST(StreamingSweepTest, DiscDatasetStreamsMatchArena) {
   for (const datasets::SiteData& site : disc.sites) {
     for (size_t p = 0; p < site.site.pages.size(); ++p) {
       std::string source = html::Serialize(site.site.pages.page(p).root());
-      ExpectStreamMatchesArena(source);
+      ExpectStreamMatchesCharView(source);
       page.Build(source);
       if (page.verbatim()) ++verbatim_pages;
     }
@@ -419,17 +429,17 @@ TEST(StreamingSweepTest, DiscDatasetStreamsMatchArena) {
 
 // -------------------------------------------------------------------
 // Fused streaming XPath: the bitset executor against the tokenizer
-// stream must match the interpreted evaluator and the arena step
-// machine on every axis/test/predicate combination.
+// stream must match the interpreted evaluator on every axis/test/
+// predicate combination.
 // -------------------------------------------------------------------
 
-/// Parses `expr_text`, compiles it, and asserts the interpreted, arena
-/// DOM and fused streaming executors all return `expected`. XPath plans
-/// are never dom_free() (they walk structure, not delimiters) but every
-/// parseable program here must be streamable().
-void ExpectXPathThreeWay(const std::string& expr_text,
-                         const std::string& source,
-                         const std::vector<std::string>& expected) {
+/// Parses `expr_text`, compiles it, and asserts the interpreted and fused
+/// streaming executors both return `expected`. XPath plans are never
+/// dom_free() (they walk structure, not delimiters) but every parseable
+/// program here must be streamable().
+void ExpectXPathTwoWay(const std::string& expr_text,
+                       const std::string& source,
+                       const std::vector<std::string>& expected) {
   Result<xpath::Expr> expr = xpath::ParseXPath(expr_text);
   ASSERT_TRUE(expr.ok()) << expr_text;
   core::XPathWrapper wrapper(std::move(*expr));
@@ -438,12 +448,9 @@ void ExpectXPathThreeWay(const std::string& expr_text,
   ASSERT_NE(compiled, nullptr) << expr_text;
   EXPECT_FALSE(compiled->dom_free()) << expr_text;
   ASSERT_TRUE(compiled->streamable()) << expr_text;
-  core::FastPageBuffer dom_buffer;
   core::StreamPageBuffer stream_buffer;
   EXPECT_EQ(InterpretedValues(wrapper, source), expected)
       << "interpreted, expr: " << expr_text;
-  EXPECT_EQ(DomFastValues(*compiled, dom_buffer, source), expected)
-      << "dom fast path, expr: " << expr_text;
   EXPECT_EQ(StreamingValues(*compiled, stream_buffer, source), expected)
       << "streaming path, expr: " << expr_text;
 }
@@ -456,12 +463,12 @@ TEST(StreamingXPath, ChildVersusDescendantAxes) {
   std::string source =
       "<html><body><div><span>a</span><p><span>b</span></p></div>"
       "<span>c</span></body></html>";
-  ExpectXPathThreeWay("/html/body/div/span", source, {""});
-  ExpectXPathThreeWay("//div//span", source, {"", ""});
-  ExpectXPathThreeWay("//span", source, {"", "", ""});
-  ExpectXPathThreeWay("/html/body/div/span/text()[1]", source, {"a"});
-  ExpectXPathThreeWay("//div//span/text()[1]", source, {"a", "b"});
-  ExpectXPathThreeWay("//span/text()[1]", source, {"a", "b", "c"});
+  ExpectXPathTwoWay("/html/body/div/span", source, {""});
+  ExpectXPathTwoWay("//div//span", source, {"", ""});
+  ExpectXPathTwoWay("//span", source, {"", "", ""});
+  ExpectXPathTwoWay("/html/body/div/span/text()[1]", source, {"a"});
+  ExpectXPathTwoWay("//div//span/text()[1]", source, {"a", "b"});
+  ExpectXPathTwoWay("//span/text()[1]", source, {"a", "b", "c"});
 }
 
 TEST(StreamingXPath, TagPositionUsesSameTagNumbering) {
@@ -470,9 +477,15 @@ TEST(StreamingXPath, TagPositionUsesSameTagNumbering) {
   std::string source =
       "<html><body><p>t<b>one</b><i>x</i><b>two</b><b>three</b></p>"
       "</body></html>";
-  ExpectXPathThreeWay("//p/b[2]/text()[1]", source, {"two"});
-  ExpectXPathThreeWay("//p/b[3]/text()[1]", source, {"three"});
-  ExpectXPathThreeWay("//p/b[4]", source, {});
+  ExpectXPathTwoWay("//p/b[2]/text()[1]", source, {"two"});
+  ExpectXPathTwoWay("//p/b[3]/text()[1]", source, {"three"});
+  ExpectXPathTwoWay("//p/b[4]", source, {});
+  // <span> is the 1st, 3rd and 4th child but the 1st, 2nd and 3rd span.
+  std::string spans =
+      "<div><span>a</span><b>x</b><span>b</span><span>c</span></div>";
+  ExpectXPathTwoWay("//div/span[2]/text()[1]", spans, {"b"});
+  ExpectXPathTwoWay("//div/*[3]/text()[1]", spans, {"b"});
+  ExpectXPathTwoWay("//div/*[2]/text()[1]", spans, {"x"});
 }
 
 TEST(StreamingXPath, TextAndWildcardUseSiblingNumbering) {
@@ -480,25 +493,25 @@ TEST(StreamingXPath, TextAndWildcardUseSiblingNumbering) {
   // <p>a<b>x</b>c</p> the text "c" is the third child and <b> the
   // second.
   std::string source = "<html><body><p>a<b>x</b>c</p></body></html>";
-  ExpectXPathThreeWay("//p/text()[1]", source, {"a"});
-  ExpectXPathThreeWay("//p/text()[3]", source, {"c"});
-  ExpectXPathThreeWay("//p/text()[2]", source, {});
-  ExpectXPathThreeWay("//p/*[2]/text()[1]", source, {"x"});
-  ExpectXPathThreeWay("//p/*[1]", source, {});
+  ExpectXPathTwoWay("//p/text()[1]", source, {"a"});
+  ExpectXPathTwoWay("//p/text()[3]", source, {"c"});
+  ExpectXPathTwoWay("//p/text()[2]", source, {});
+  ExpectXPathTwoWay("//p/*[2]/text()[1]", source, {"x"});
+  ExpectXPathTwoWay("//p/*[1]", source, {});
 }
 
 TEST(StreamingXPath, AttributeFiltersKeepLastDuplicateValue) {
-  // A duplicated attribute name keeps the LAST value in every path: the
-  // tree builders overwrite in place, and the fused executor scans the
+  // A duplicated attribute name keeps the LAST value in both paths: the
+  // tree builder overwrites in place, and the fused executor scans the
   // token's attribute list backward.
   std::string source =
       "<html><body><div a=\"1\" a=\"2\"><b>x</b></div>"
       "<div a=\"1\"><b>y</b></div></body></html>";
-  ExpectXPathThreeWay("//div[@a='2']/b/text()[1]", source, {"x"});
-  ExpectXPathThreeWay("//div[@a='1']/b/text()[1]", source, {"y"});
-  ExpectXPathThreeWay("//div[@a='3']", source, {});
+  ExpectXPathTwoWay("//div[@a='2']/b/text()[1]", source, {"x"});
+  ExpectXPathTwoWay("//div[@a='1']/b/text()[1]", source, {"y"});
+  ExpectXPathTwoWay("//div[@a='3']", source, {});
   // Attribute filters always fail text nodes (no attributes to match).
-  ExpectXPathThreeWay("//div/b/text()[@a='1']", source, {});
+  ExpectXPathTwoWay("//div/b/text()[@a='1']", source, {});
 }
 
 TEST(StreamingXPath, VoidAndSelfClosingSiblingsCountInPositions) {
@@ -507,29 +520,29 @@ TEST(StreamingXPath, VoidAndSelfClosingSiblingsCountInPositions) {
   std::string source =
       "<html><body><div><br><span>x</span><br/><span>y</span></div>"
       "</body></html>";
-  ExpectXPathThreeWay("//div/span[2]/text()[1]", source, {"y"});
-  ExpectXPathThreeWay("//div/*[4]/text()[1]", source, {"y"});
-  ExpectXPathThreeWay("//div/br[2]", source, {""});
+  ExpectXPathTwoWay("//div/span[2]/text()[1]", source, {"y"});
+  ExpectXPathTwoWay("//div/*[4]/text()[1]", source, {"y"});
+  ExpectXPathTwoWay("//div/br[2]", source, {""});
 }
 
 TEST(StreamingXPath, TextCaptureCollapsesWhitespaceAndDecodesEntities) {
   std::string source =
       "<html><body><li>  a &amp;\n b  </li><li>&#32; </li></body></html>";
-  ExpectXPathThreeWay("//li/text()[1]", source, {"a & b"});
+  ExpectXPathTwoWay("//li/text()[1]", source, {"a & b"});
   // The second <li>'s text decodes to pure whitespace and is skipped, so
   // it has no text child at all.
-  ExpectXPathThreeWay("//li[2]/text()[1]", source, {});
+  ExpectXPathTwoWay("//li[2]/text()[1]", source, {});
 }
 
 TEST(StreamingXPath, TagSoupPageThroughFusedTokenizer) {
   // The fused executor runs the tokenizer directly: case folding,
   // single-quoted and bare attributes, and implied </li> closes must
-  // resolve identically to both tree builders.
+  // resolve identically to the tree builder.
   std::string source =
       "<HTML><BODY><UL id=list><LI><B class='n'>a</B>"
       "<LI><B class='n'>b</B></UL></BODY></HTML>";
-  ExpectXPathThreeWay("//li/b/text()[1]", source, {"a", "b"});
-  ExpectXPathThreeWay("//ul[@id='list']/li[2]/b[@class='n']/text()[1]",
+  ExpectXPathTwoWay("//li/b/text()[1]", source, {"a", "b"});
+  ExpectXPathTwoWay("//ul[@id='list']/li[2]/b[@class='n']/text()[1]",
                       source, {"b"});
 }
 
@@ -539,15 +552,15 @@ TEST(StreamingXPath, MisnestedAndStrayEndTags) {
   std::string source =
       "<html><body><ul><li>one</table><li>two</ul>"
       "<p>after</p></body></html>";
-  ExpectXPathThreeWay("//li/text()[1]", source, {"one", "two"});
-  ExpectXPathThreeWay("/html/body/p/text()[1]", source, {"after"});
+  ExpectXPathTwoWay("//li/text()[1]", source, {"one", "two"});
+  ExpectXPathTwoWay("/html/body/p/text()[1]", source, {"after"});
 }
 
 // -------------------------------------------------------------------
 // Randomized tag-soup corpus: pages built from the LOCAL rewrite
 // vocabulary (mixed-case names, re-quotable attributes, implied end
 // tags) must all take the PATCHED tier — no fused-tokenize fallback —
-// and stay byte-identical across every path.
+// and stay byte-identical across both paths.
 // -------------------------------------------------------------------
 
 uint64_t XorShift(uint64_t* s) {
@@ -591,7 +604,7 @@ void AppendSoupAttr(uint64_t* s, std::string_view name,
   }
 }
 
-TEST(TagSoupCorpus, PatchedTierEngagesWithThreeWayIdentity) {
+TEST(TagSoupCorpus, PatchedTierEngagesWithTwoWayIdentity) {
   core::LrWrapper name_lr("<b class=\"name\">", "</b>");
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     uint64_t s = seed * 0x9e3779b97f4a7c15ull;
@@ -643,13 +656,13 @@ TEST(TagSoupCorpus, PatchedTierEngagesWithThreeWayIdentity) {
     stream_page.Build(page);
     EXPECT_EQ(stream_page.tier(), html::StreamPage::Tier::kPatched)
         << "seed " << seed << " page: " << page;
-    ExpectStreamMatchesArena(page);
+    ExpectStreamMatchesCharView(page);
 
-    ExpectThreeWayEqual(name_lr, page, names);
-    ExpectXPathThreeWay("//li/b[@class='name']/text()[1]", page, names);
-    ExpectXPathThreeWay("//table/tr[2]/td/text()[1]", page,
+    ExpectTwoWayEqual(name_lr, page, names);
+    ExpectXPathTwoWay("//li/b[@class='name']/text()[1]", page, names);
+    ExpectXPathTwoWay("//table/tr[2]/td/text()[1]", page,
                         {cells[2], cells[3]});
-    ExpectXPathThreeWay("/html/body/p/text()[1]", page, {"Intro text"});
+    ExpectXPathTwoWay("/html/body/p/text()[1]", page, {"Intro text"});
   }
 }
 

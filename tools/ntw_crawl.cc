@@ -7,16 +7,15 @@
 //             [--rps R] [--burst B] [--domain-parallelism N]
 //             [--no-robots] [--robots-ttl SECONDS]
 //             [--attribute NAME] [--site SITE] [--timing]
-//             [--no-fast-path] [--no-streaming] [--max-retries N]
-//             [--timeout-ms N] [--self-heal] [--metrics-json FILE]
-//             [--quiet]
+//             [--no-fast-path] [--max-retries N] [--timeout-ms N]
+//             [--self-heal] [--metrics-json FILE] [--quiet]
 //
 // Crawls from the seed URLs (file:// or http://) through the
 // deduplicating per-domain frontier, extracts every fetched page through
 // the extraction router ntw_serve uses (LR/HLRT and streamable XPath
 // plans stream with no DOM; a site's fused scan runs when it covers two
-// or more delimiter wrappers; --no-streaming pins compiled plans to the
-// arena DOM, --no-fast-path forces the heap-DOM interpreter), and writes one
+// or more delimiter wrappers; the rest, and every page under
+// --no-fast-path, go to the heap-DOM interpreter), and writes one
 // ntw-crawl-record NDJSON line per (page, attribute) to --out (default
 // stdout) in frontier dispatch order — byte-identical to offline
 // `ntw_extract --emit ndjson` over the same pages, at any --workers.
@@ -50,11 +49,11 @@ constexpr char kUsage[] =
     "                 [--rps R] [--burst B] [--domain-parallelism N]\n"
     "                 [--no-robots] [--robots-ttl SECONDS]\n"
     "                 [--attribute NAME] [--site SITE] [--timing]\n"
-    "                 [--no-fast-path] [--no-streaming] [--max-retries N]\n"
+    "                 [--no-fast-path] [--max-retries N]\n"
     "                 [--timeout-ms N] [--self-heal]\n"
     "                 [--metrics-json FILE] [--quiet]\n"
     "extraction routes pages like ntw_serve: streaming by default,\n"
-    "arena DOM with --no-streaming, interpreter with --no-fast-path\n";
+    "interpreter with --no-fast-path\n";
 
 std::vector<std::string> SplitList(const std::string& csv) {
   std::vector<std::string> out;
@@ -76,8 +75,8 @@ int Run(int argc, char** argv) {
       {"wrapper-dir", "seeds", "out", "workers", "max-depth", "max-pages",
        "allow", "deny", "rps", "burst", "domain-parallelism", "no-robots",
        "robots-ttl", "attribute", "site", "timing", "no-fast-path",
-       "no-streaming", "max-retries", "timeout-ms", "self-heal",
-       "metrics-json", "quiet", "help"});
+       "max-retries", "timeout-ms", "self-heal", "metrics-json", "quiet",
+       "help"});
   if (!unknown.empty() || flags.Has("help")) {
     for (const std::string& name : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
@@ -143,7 +142,6 @@ int Run(int argc, char** argv) {
   options.fixed_site = flags.Get("site");
   options.timing = flags.Has("timing");
   options.fast_path = !flags.Has("no-fast-path");
-  options.streaming = !flags.Has("no-streaming");
   options.self_heal = flags.Has("self-heal");
 
   serve::WrapperRepository repository(wrapper_dir);

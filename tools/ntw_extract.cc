@@ -21,8 +21,8 @@
 //           code path ntw_serve uses — and extract every page through the
 //           core::ExtractionRouter that ntw_serve and ntw_crawl use, so
 //           CLI, daemon and crawl cannot diverge. LR/HLRT and streamable
-//           XPath plans stream; --no-streaming pins compiled plans to the
-//           arena DOM, --no-fast-path forces the heap-DOM interpreter.
+//           XPath plans stream; the rest, and every page under
+//           --no-fast-path, go to the heap-DOM interpreter.
 //           With --emit ndjson the output switches from TSV to one
 //           ntw-crawl-record line per page (--url-prefix P names the
 //           pages as P/<filename>) — byte-identical to what ntw_crawl
@@ -65,10 +65,10 @@ constexpr char kUsage[] =
     "                   [--p P] [--r R] [--schema-prior N]"
     " [--save-wrapper FILE] [--quiet]\n"
     "                   [--metrics-json PATH] [--trace PATH]"
-    " [--no-fast-path] [--no-streaming]\n"
+    " [--no-fast-path]\n"
     "                   [--emit tsv|ndjson] [--url-prefix P]\n"
     "apply mode routes pages like ntw_serve: streaming by default,\n"
-    "arena DOM with --no-streaming, interpreter with --no-fast-path\n";
+    "interpreter with --no-fast-path\n";
 
 void PrintExtraction(const core::PageSet& pages,
                      const core::NodeSet& extraction) {
@@ -82,10 +82,10 @@ void PrintExtraction(const core::PageSet& pages,
 
 /// Apply mode: extracts every page of `pages_dir` through the extraction
 /// router ntw_serve and ntw_crawl use — streaming for dom_free and
-/// streamable XPath plans, the arena DOM for the rest (or with
-/// --no-streaming), the interpreter with --no-fast-path or without a
-/// plan; the same bytes on every route. Prints TSV (page <TAB> text), or
-/// one ntw-crawl-record line per page when `page_urls` is non-null.
+/// streamable XPath plans, the interpreter for the rest and with
+/// --no-fast-path; the same bytes on both routes. Prints TSV (page <TAB>
+/// text), or one ntw-crawl-record line per page when `page_urls` is
+/// non-null.
 /// Returns the exit status.
 int ApplyRouted(const Flags& flags, const std::string& pages_dir,
                 const core::Wrapper& wrapper,
@@ -99,7 +99,7 @@ int ApplyRouted(const Flags& flags, const std::string& pages_dir,
     return 1;
   }
   core::ExtractionRouter router(core::ExtractionRouter::Options{
-      !flags.Has("no-fast-path"), !flags.Has("no-streaming")});
+      .fast_path = !flags.Has("no-fast-path")});
   std::string value;
   obs::Span span("extract.apply");
   for (size_t i = 0; i < sources->size(); ++i) {
@@ -132,7 +132,7 @@ int Run(int argc, char** argv) {
       {"pages", "dict", "regex", "load-wrapper", "wrapper-dir", "pack",
        "site", "attribute", "inductor", "algorithm", "p", "r", "schema-prior",
        "save-wrapper", "quiet", "help", "metrics-json", "trace",
-       "no-fast-path", "no-streaming", "emit", "url-prefix"});
+       "no-fast-path", "emit", "url-prefix"});
   if (!unknown.empty() || flags.Has("help")) {
     for (const std::string& name : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());

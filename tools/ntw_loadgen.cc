@@ -4,47 +4,39 @@
 // Builds a pinned DEALERS subset (fixed seed), learns one XPATH and one
 // LR wrapper per site from ground truth, publishes the wrappers to a
 // temporary serving repository, starts a real HttpServer in-process on an
-// ephemeral port, and drives it over raw keep-alive sockets through six
+// ephemeral port, and drives it over raw keep-alive sockets through four
 // phases split by plan kind and execution path:
 //
 //   delimiter_streaming    LR plans, streaming no-DOM path (DESIGN.md §12)
-//   delimiter_dom          LR plans, arena-DOM fast path (--no-streaming)
 //   delimiter_interpreted  LR plans, interpreted Wrapper::Extract
 //   xpath_streaming        XPATH plans, fused tokenize→plan-execute path
-//   xpath_fast             XPATH plans, arena-DOM fast path
 //   xpath_interpreted      XPATH plans, interpreted Wrapper::Extract
 //
-// Emits a schema-versioned BENCH_serve.json (v4) with per-phase
+// Emits a schema-versioned BENCH_serve.json (v5) with per-phase
 // requests/second tagged by plan kind and path, latency percentiles from
 // the ntw.serve.extract_latency_micros histogram, a speedups object
-// (delimiter_streaming_vs_dom and xpath_streaming_vs_fast are the
-// headline numbers the streaming paths are accountable to), peak RSS and
-// machine metadata, so serving-throughput regressions accumulate in-repo
-// the same way ntw_bench's learning benches do.
+// (streaming vs interpreted per plan kind), peak RSS and machine
+// metadata, so serving-throughput regressions accumulate in-repo the same
+// way ntw_bench's learning benches do.
 //
 // Before any timing, every (site, attribute, page) request is executed
-// through the streaming, arena-DOM and interpreted service
-// configurations in-process and the responses are compared
-// byte-for-byte; any divergence prints the triple and exits 1 — the
-// fast-path determinism contract is enforced by the benchmark itself, not
-// just by the unit tests.
+// through the streaming and interpreted service configurations
+// in-process and the responses are compared byte-for-byte; any
+// divergence prints the pair and exits 1 — the fast-path determinism
+// contract is enforced by the benchmark itself, not just by the unit
+// tests.
 //
 // Usage:
 //   ntw_loadgen [--out BENCH_serve.json] [--sites N] [--requests N]
 //               [--records N] [--connections N] [--client-threads N]
 //               [--pipeline N] [--repetitions N] [--shards N]
-//               [--sweep 1,2,4,...] [--no-streaming] [--smoke]
+//               [--sweep 1,2,4,...] [--smoke]
 //
 // --records N pins every generated page to exactly N listing records
 // (default 30 for full runs — a realistic dealer-locator page, a few KB
 // of HTML — and the dataset default 2..10 for --smoke, matching the unit
 // corpora). Larger pages shift the measurement toward extraction cost and
 // away from fixed per-request socket overhead.
-//
-// --no-streaming builds the "streaming" services with the streaming path
-// off (the delimiter_streaming and xpath_streaming phases then run the
-// arena fast path) — CI uses it to keep the non-streaming combination
-// green end to end.
 //
 // --pipeline N keeps N requests in flight per connection (HTTP/1.1
 // pipelining, which the server supports): syscall and scheduling overhead
@@ -58,9 +50,9 @@
 // window before reading any — so the offered load scales past the client
 // thread count).
 //
-// --shards N serves the main fast/interpreted phases from an N-shard
+// --shards N serves the main streaming/interpreted phases from an N-shard
 // multi-reactor server (DESIGN.md §11). --sweep S1,S2,... additionally
-// measures fast-path throughput at each shard count on a fresh server
+// measures streaming throughput at each shard count on a fresh server
 // and replays every distinct request serially at each point, comparing
 // the bytes against the in-process baseline — the shard-scaling curve
 // and the cross-shard byte-identity contract in one pass.
@@ -114,9 +106,9 @@ constexpr char kUsage[] =
     "                   [--records N] [--connections N]"
     " [--client-threads N]\n"
     "                   [--pipeline N] [--repetitions N] [--shards N]\n"
-    "                   [--sweep 1,2,4,...] [--no-streaming] [--smoke]\n";
+    "                   [--sweep 1,2,4,...] [--smoke]\n";
 
-constexpr int64_t kSchemaVersion = 4;
+constexpr int64_t kSchemaVersion = 5;
 
 // ---------------------------------------------------------------------
 // Minimal blocking HTTP/1.1 client (keep-alive, Content-Length framing).
@@ -236,7 +228,7 @@ class Client {
 struct PhaseResult {
   std::string name;
   std::string plan_kind;  // "lr" or "xpath" — which wrapper kind is driven.
-  std::string path;       // "streaming", "dom" or "interpreted".
+  std::string path;       // "streaming" or "interpreted".
   int64_t requests = 0;
   double wall_seconds = 0.0;
   double requests_per_second = 0.0;
@@ -249,7 +241,6 @@ struct PhaseResult {
   int64_t latency_p95_micros = 0;
   int64_t latency_p99_micros = 0;
   int64_t latency_max_micros = 0;
-  int64_t arena_bytes_reused = 0;
   int64_t errors = 0;
 };
 
@@ -344,10 +335,6 @@ PhaseResult RunPhase(const std::string& name, int port,
   result.latency_p95_micros = obs::HistogramPercentile(latency, 0.95);
   result.latency_p99_micros = obs::HistogramPercentile(latency, 0.99);
   result.latency_max_micros = latency.max;
-  result.arena_bytes_reused =
-      obs::Registry::Global()
-          .GetShardedCounter("ntw.serve.arena_bytes_reused")
-          ->value();
   return result;
 }
 
@@ -373,7 +360,6 @@ void WritePhase(obs::JsonWriter& json, const PhaseResult& r) {
   json.KV("p99", r.latency_p99_micros);
   json.KV("max", r.latency_max_micros);
   json.EndObject();
-  json.KV("arena_bytes_reused", r.arena_bytes_reused);
   json.EndObject();
 }
 
@@ -415,7 +401,7 @@ int Run(int argc, char** argv) {
   std::vector<std::string> unknown = flags.UnknownFlags(
       {"out", "sites", "requests", "records", "connections",
        "client-threads", "pipeline", "repetitions", "shards", "sweep",
-       "no-streaming", "smoke", "help"});
+       "smoke", "help"});
   if (!unknown.empty() || flags.Has("help")) {
     for (const std::string& name : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
@@ -467,7 +453,6 @@ int Run(int argc, char** argv) {
     }
   }
   std::string out = flags.Get("out", "BENCH_serve.json");
-  bool streaming_enabled = !flags.Has("no-streaming");
 
   // ----- pinned workload: DEALERS subset, one XPATH + one LR wrapper per
   // site (name.wrapper / name_lr.wrapper) --------------------------------
@@ -545,16 +530,13 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "wrapper load error: %s\n", error.c_str());
   }
 
-  serve::ExtractService streaming(
+  serve::ExtractService streaming(&repository, &ThreadPool::Global());
+  serve::ExtractService interpreted(
       &repository, &ThreadPool::Global(),
-      serve::ExtractService::Options{true, 0, streaming_enabled});
-  serve::ExtractService dom(&repository, &ThreadPool::Global(),
-                            serve::ExtractService::Options{true, 0, false});
-  serve::ExtractService interpreted(&repository, &ThreadPool::Global(),
-                                    serve::ExtractService::Options{false, 0});
+      serve::ExtractService::Options{.fast_path = false});
 
-  // ----- equivalence gate: all three paths, every (attribute, page)
-  // request, byte-compared. The streaming-service bodies double as the
+  // ----- equivalence gate: both paths, every (attribute, page) request,
+  // byte-compared. The streaming-service bodies double as the
   // baseline for the sweep's cross-shard replay below ("name" requests
   // first, then "name_lr", matching the replay order). -------------------
   int64_t divergences = 0;
@@ -570,19 +552,16 @@ int Run(int argc, char** argv) {
       request.query.emplace_back("attribute", attribute);
       request.body = page_bodies[i];
       serve::HttpResponse a = streaming.Handle(request);
-      serve::HttpResponse b = dom.Handle(request);
-      serve::HttpResponse c = interpreted.Handle(request);
+      serve::HttpResponse b = interpreted.Handle(request);
       ++responses_compared;
-      if (a.status != b.status || a.body != b.body ||
-          a.status != c.status || a.body != c.body) {
+      if (a.status != b.status || a.body != b.body) {
         ++divergences;
         if (divergences <= 3) {
           std::fprintf(stderr,
                        "DIVERGENCE site=%s attribute=%s page=%zu\n"
-                       "  streaming: %d %s\n  dom: %d %s\n  interp: %d %s\n",
+                       "  streaming: %d %s\n  interp: %d %s\n",
                        page_sites[i].c_str(), attribute, i, a.status,
-                       a.body.c_str(), b.status, b.body.c_str(), c.status,
-                       c.body.c_str());
+                       a.body.c_str(), b.status, b.body.c_str());
         }
       }
       expected_bodies.push_back(std::move(a.body));
@@ -590,8 +569,8 @@ int Run(int argc, char** argv) {
   }
   if (divergences > 0) {
     std::fprintf(stderr,
-                 "ntw_loadgen: %lld of %lld responses diverge across"
-                 " streaming/dom/interpreted paths\n",
+                 "ntw_loadgen: %lld of %lld responses diverge between"
+                 " streaming and interpreted paths\n",
                  static_cast<long long>(divergences),
                  static_cast<long long>(responses_compared));
     std::filesystem::remove_all(repo_dir);
@@ -680,14 +659,12 @@ int Run(int argc, char** argv) {
   obs::Registry::Global().SetShardCount(max_shards);
 
   // ----- in-process server for the main phases: --shards reactors, one
-  // streaming + one arena-DOM + one interpreted service per shard (each
-  // with a shard-private buffer pool), the active path flipped between
-  // phases ---------------------------------------------------------------
-  enum Mode : int { kStreaming = 0, kDom = 1, kInterpreted = 2 };
+  // streaming + one interpreted service per shard (each with a
+  // shard-private buffer pool), the active path flipped between phases --
+  enum Mode : int { kStreaming = 0, kInterpreted = 1 };
   std::atomic<int> mode{kStreaming};
   struct ShardServices {
     std::unique_ptr<serve::ExtractService> streaming;
-    std::unique_ptr<serve::ExtractService> dom;
     std::unique_ptr<serve::ExtractService> interpreted;
   };
   std::vector<ShardServices> shard_services(static_cast<size_t>(shards));
@@ -701,25 +678,17 @@ int Run(int argc, char** argv) {
         auto& slot = shard_services[static_cast<size_t>(shard)];
         slot.streaming = std::make_unique<serve::ExtractService>(
             &repository, &ThreadPool::Global(),
-            serve::ExtractService::Options{true, shard, streaming_enabled});
-        slot.dom = std::make_unique<serve::ExtractService>(
-            &repository, &ThreadPool::Global(),
-            serve::ExtractService::Options{true, shard, false});
+            serve::ExtractService::Options{.shard = shard});
         slot.interpreted = std::make_unique<serve::ExtractService>(
             &repository, &ThreadPool::Global(),
-            serve::ExtractService::Options{false, shard});
+            serve::ExtractService::Options{.fast_path = false,
+                                           .shard = shard});
         serve::ExtractService* s = slot.streaming.get();
-        serve::ExtractService* d = slot.dom.get();
         serve::ExtractService* i = slot.interpreted.get();
-        return [s, d, i, &mode](const serve::HttpRequest& request) {
-          switch (mode.load(std::memory_order_acquire)) {
-            case kStreaming:
-              return s->Handle(request);
-            case kDom:
-              return d->Handle(request);
-            default:
-              return i->Handle(request);
-          }
+        return [s, i, &mode](const serve::HttpRequest& request) {
+          return mode.load(std::memory_order_acquire) == kStreaming
+                     ? s->Handle(request)
+                     : i->Handle(request);
         };
       }));
   Status bound = server.Bind();
@@ -740,7 +709,7 @@ int Run(int argc, char** argv) {
                client_threads, static_cast<long long>(pipeline), repetitions,
                shards, port);
 
-  // Interleave all six phases across repetitions so slow drift in the
+  // Interleave all four phases across repetitions so slow drift in the
   // environment hits every phase alike; keep the best repetition of
   // each, the same noise-rejection convention as ntw_bench.
   struct PhaseSpec {
@@ -751,14 +720,10 @@ int Run(int argc, char** argv) {
     const std::vector<std::string>* requests;
   };
   const PhaseSpec specs[] = {
-      {"delimiter_streaming", "lr", streaming_enabled ? "streaming" : "dom",
-       kStreaming, &lr_requests},
-      {"delimiter_dom", "lr", "dom", kDom, &lr_requests},
+      {"delimiter_streaming", "lr", "streaming", kStreaming, &lr_requests},
       {"delimiter_interpreted", "lr", "interpreted", kInterpreted,
        &lr_requests},
-      {"xpath_streaming", "xpath", streaming_enabled ? "streaming" : "dom",
-       kStreaming, &xpath_requests},
-      {"xpath_fast", "xpath", "dom", kDom, &xpath_requests},
+      {"xpath_streaming", "xpath", "streaming", kStreaming, &xpath_requests},
       {"xpath_interpreted", "xpath", "interpreted", kInterpreted,
        &xpath_requests},
   };
@@ -808,26 +773,15 @@ int Run(int argc, char** argv) {
     return 0.0;
   };
   auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
-  // The headline number: streaming vs the arena-DOM fast path on the
-  // delimiter-only workload — what skipping the DOM entirely buys.
-  double streaming_vs_dom = ratio(rps_of("delimiter_streaming"),
-                                  rps_of("delimiter_dom"));
-  double streaming_vs_interp = ratio(rps_of("delimiter_streaming"),
+  // What skipping the DOM buys, per plan kind: streaming vs the heap-DOM
+  // interpreter on the same plans and pages.
+  double delimiter_vs_interp = ratio(rps_of("delimiter_streaming"),
                                      rps_of("delimiter_interpreted"));
-  double dom_vs_interp = ratio(rps_of("delimiter_dom"),
-                               rps_of("delimiter_interpreted"));
   double xpath_vs_interp =
-      ratio(rps_of("xpath_fast"), rps_of("xpath_interpreted"));
-  // The XPath headline: the fused tokenize→plan-execute machine vs the
-  // arena-DOM step machine on the same plans and pages.
-  double xpath_streaming_vs_fast =
-      ratio(rps_of("xpath_streaming"), rps_of("xpath_fast"));
+      ratio(rps_of("xpath_streaming"), rps_of("xpath_interpreted"));
   std::fprintf(stderr,
-               "  speedups: delimiter streaming/dom %.2fx,"
-               " streaming/interp %.2fx, dom/interp %.2fx;"
-               " xpath streaming/fast %.2fx, fast/interp %.2fx\n",
-               streaming_vs_dom, streaming_vs_interp, dom_vs_interp,
-               xpath_streaming_vs_fast, xpath_vs_interp);
+               "  speedups: streaming/interp delimiter %.2fx, xpath %.2fx\n",
+               delimiter_vs_interp, xpath_vs_interp);
 
   // ----- shard sweep: throughput-vs-shards curve + cross-shard bytes ----
   std::vector<SweepPoint> sweep;
@@ -846,8 +800,7 @@ int Run(int argc, char** argv) {
           auto& slot = sweep_services[static_cast<size_t>(shard)];
           slot.streaming = std::make_unique<serve::ExtractService>(
               &repository, &ThreadPool::Global(),
-              serve::ExtractService::Options{true, shard,
-                                             streaming_enabled});
+              serve::ExtractService::Options{.shard = shard});
           serve::ExtractService* f = slot.streaming.get();
           return [f](const serve::HttpRequest& request) {
             return f->Handle(request);
@@ -877,7 +830,7 @@ int Run(int argc, char** argv) {
           total_requests, sweep_connections, sweep_client_threads,
           pipeline);
       r.plan_kind = "lr";
-      r.path = streaming_enabled ? "streaming" : "dom";
+      r.path = "streaming";
       point_reps.push_back(std::move(r));
     }
     point.phase = BestOf(point_reps);
@@ -965,7 +918,6 @@ int Run(int argc, char** argv) {
   json.KV("repetitions", static_cast<int64_t>(repetitions));
   json.KV("shards", static_cast<int64_t>(shards));
   json.KV("server_inline", true);
-  json.KV("streaming", streaming_enabled);
   json.KV("smoke", smoke);
   json.EndObject();
   WriteMachineInfo(json);
@@ -975,11 +927,8 @@ int Run(int argc, char** argv) {
   json.EndArray();
   json.Key("speedups");
   json.BeginObject();
-  json.KV("delimiter_streaming_vs_dom", streaming_vs_dom);
-  json.KV("delimiter_streaming_vs_interpreted", streaming_vs_interp);
-  json.KV("delimiter_dom_vs_interpreted", dom_vs_interp);
-  json.KV("xpath_streaming_vs_fast", xpath_streaming_vs_fast);
-  json.KV("xpath_fast_vs_interpreted", xpath_vs_interp);
+  json.KV("delimiter_streaming_vs_interpreted", delimiter_vs_interp);
+  json.KV("xpath_streaming_vs_interpreted", xpath_vs_interp);
   json.EndObject();
   json.Key("equivalence");
   json.BeginObject();

@@ -10,7 +10,7 @@
 //             [--read-timeout-ms N] [--write-timeout-ms N]
 //             [--drain-grace-ms N] [--reload-poll-ms N]
 //             [--metrics-json PATH] [--trace PATH]
-//             [--no-fast-path] [--no-streaming] [--no-fused] [--quiet]
+//             [--no-fast-path] [--no-fused] [--quiet]
 //             [--no-self-heal] [--drift-warmup N] [--drift-window N]
 //             [--drift-empty-streak N] [--drift-hysteresis N]
 //             [--drift-cooldown N] [--drift-retain K]
@@ -77,9 +77,8 @@ constexpr char kUsage[] =
     "                 [--max-inflight N] [--read-timeout-ms N]\n"
     "                 [--write-timeout-ms N] [--drain-grace-ms N]\n"
     "                 [--reload-poll-ms N] [--metrics-json PATH]\n"
-    "                 [--trace PATH] [--no-fast-path] [--no-streaming]\n"
-    "                 [--no-fused] [--quiet] [--no-self-heal]"
-    " [--drift-warmup N]\n"
+    "                 [--trace PATH] [--no-fast-path] [--no-fused]\n"
+    "                 [--quiet] [--no-self-heal] [--drift-warmup N]\n"
     "                 [--drift-window N] [--drift-empty-streak N]\n"
     "                 [--drift-hysteresis N] [--drift-cooldown N]\n"
     "                 [--drift-retain K] [--reinduce-threads N]\n"
@@ -107,8 +106,7 @@ int Run(int argc, char** argv) {
       {"wrapper-dir", "pack", "host", "port", "port-file", "shards",
        "threads", "max-body-bytes", "max-inflight", "read-timeout-ms",
        "write-timeout-ms", "drain-grace-ms", "reload-poll-ms",
-       "metrics-json", "trace", "no-fast-path", "no-streaming", "no-fused",
-       "quiet",
+       "metrics-json", "trace", "no-fast-path", "no-fused", "quiet",
        "no-self-heal", "drift-warmup", "drift-window", "drift-empty-streak",
        "drift-hysteresis", "drift-cooldown", "drift-retain",
        "reinduce-threads", "reinduce-queue", "help"});
@@ -241,13 +239,10 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // --no-fast-path keeps the interpreted Wrapper::Extract path alive for
-  // A/B benchmarking and as the byte-identity cross-check baseline;
-  // --no-streaming pins dom_free plans and streamable XPath plans to the
-  // arena fast path instead of the streaming no-DOM paths (DESIGN.md
-  // §12).
+  // --no-fast-path sends every page to the heap-DOM interpreter, for
+  // A/B benchmarking and as the byte-identity cross-check baseline
+  // (DESIGN.md §12).
   bool fast_path = !flags.Has("no-fast-path");
-  bool streaming = !flags.Has("no-streaming");
   bool fused = !flags.Has("no-fused");
   // The re-induction worker: one shared queue behind every shard's
   // detector hand-offs. Constructed (and started) only when self-healing
@@ -266,11 +261,10 @@ int Run(int argc, char** argv) {
   serve::HttpServer server(
       options,
       serve::HttpServer::HandlerFactory(
-          [&repository, &services, fast_path, streaming, fused,
+          [&repository, &services, fast_path, fused,
            reinducer_ptr](int shard) {
             serve::ExtractService::Options service_options;
             service_options.fast_path = fast_path;
-            service_options.streaming = streaming;
             service_options.fused = fused;
             service_options.shard = shard;
             service_options.self_heal = reinducer_ptr != nullptr;

@@ -6,7 +6,7 @@
 # it is the only place the installed binary, the signal handlers and the
 # port-file handshake are exercised end to end.
 # Usage: tools/serve_smoke.sh <build-dir> [shards] [extra daemon flags...]
-# e.g. tools/serve_smoke.sh build 2 --no-streaming
+# e.g. tools/serve_smoke.sh build 2 --no-fast-path
 #
 # `tools/serve_smoke.sh <build-dir> --self-heal` runs the self-healing
 # scenario instead: break the live template mid-traffic and assert the
@@ -28,7 +28,7 @@ if [ "${2:-}" = "--self-heal" ]; then
 else
   SHARDS="${2:-1}"
   # Remaining arguments are passed to the daemon verbatim (path toggles
-  # like --no-streaming / --no-fast-path, exercised by check.sh and CI).
+  # like --no-fast-path / --no-fused).
   [ "$#" -ge 2 ] && shift 2 || shift "$#"
 fi
 
@@ -37,9 +37,10 @@ PID=""
 trap '[ -n "$PID" ] && kill "$PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
 # A two-wrapper repository: example.com/name extracts <li> text via
-# XPATH (arena fast path); example.com/name_lr is the equivalent LR
-# delimiter plan, which dom_free-routes through the streaming path by
-# default.
+# XPATH (the streaming XPath executor); example.com/name_lr is the
+# equivalent LR delimiter plan, which dom_free-routes through the
+# streaming delimiter path. Both take the interpreter under
+# --no-fast-path.
 mkdir -p "$WORK/repo/example.com"
 if [ "$SELF_HEAL" -eq 1 ]; then
   # Self-heal scenario: one LR delimiter wrapper that a <b> -> <strong>
@@ -158,7 +159,7 @@ case "$EXTRACT" in
 esac
 
 # /extract with the LR delimiter plan (streaming no-DOM path unless the
-# daemon was started with --no-streaming): same values, same bytes.
+# daemon was started with --no-fast-path): same values, same bytes.
 EXTRACT_LR="$(printf '%s' "$BODY" | curl -sS --max-time 5 --data-binary @- \
     "$BASE/extract?site=example.com&attribute=name_lr")" \
     || fail "lr extract request failed"
