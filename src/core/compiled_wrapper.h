@@ -181,30 +181,6 @@ class CompiledWrapper {
   static std::shared_ptr<const CompiledWrapper> Compile(
       const Wrapper& wrapper);
 
-  /// One XPath step in source form, for building a plan without going
-  /// through the parsed Wrapper (the wrapper-pack finalize path). The
-  /// fields mirror xpath::Step; Compile() and MakeXPath() produce
-  /// identical plans for the same steps.
-  struct XPathStepSpec {
-    bool descendant = false;
-    enum class Test { kTag, kAnyElement, kText };
-    Test test = Test::kTag;
-    std::string tag;            // Test::kTag only
-    int32_t child_number = -1;  // -1 = no filter
-    std::vector<std::pair<std::string, std::string>> attr_filters;
-  };
-
-  /// Direct constructors for the pack's fixed-layout plans — bitwise the
-  /// same plans Compile() builds from the equivalent Wrapper.
-  static std::shared_ptr<const CompiledWrapper> MakeLr(std::string left,
-                                                       std::string right);
-  static std::shared_ptr<const CompiledWrapper> MakeHlrt(std::string head,
-                                                         std::string tail,
-                                                         std::string left,
-                                                         std::string right);
-  static std::shared_ptr<const CompiledWrapper> MakeXPath(
-      const std::vector<XPathStepSpec>& steps);
-
   /// Streaming no-DOM execution over the raw request bytes: the stream
   /// matchers for dom_free() plans (LR/HLRT), the fused tokenize→
   /// plan-execute machine for streamable() XPath plans. An XPath plan

@@ -9,9 +9,8 @@ namespace ntw::core {
 
 namespace {
 
-// Serialized automaton layout (all fields u32, byte order as written by
-// the producing machine — the pack header's endian stamp guards cross-
-// endian reads; in-memory blobs never cross machines):
+// Serialized automaton layout (all fields u32, native byte order — blobs
+// are built in process and never cross machines):
 //
 //   header     6 * u32   magic, pattern_count P, node_count N,
 //                        edge_count E, output_count O, strtab_len S
@@ -26,8 +25,8 @@ namespace {
 //                        just to report)
 //   strtab     S bytes
 //
-// Everything is offset-based — the same bytes work as a std::string or
-// mapped read-only out of a wrapper pack.
+// Everything is offset-based, so the extractor can be copied or moved
+// without fixing up pointers.
 
 constexpr uint32_t kAcMagic = 0x31434146u;  // "FAC1"
 constexpr size_t kHeaderWords = 6;
@@ -250,38 +249,6 @@ std::string AcBuilder::Build() const {
   return out;
 }
 
-bool FusedAutomaton::Validate(std::string_view blob) {
-  if (blob.empty()) return true;  // Zero patterns: a valid no-op automaton.
-  AcView view;
-  if (!view.Bind(blob)) return false;
-  for (uint32_t id = 0; id < view.pattern_count; ++id) {
-    uint64_t off = LoadU32(view.patterns + static_cast<size_t>(id) * 8);
-    uint64_t len = LoadU32(view.patterns + static_cast<size_t>(id) * 8 + 4);
-    if (len == 0 || off + len > view.strtab_len) return false;
-  }
-  for (size_t byte = 0; byte < kRootWords; ++byte) {
-    if (view.root_goto(static_cast<unsigned char>(byte)) >= view.node_count) {
-      return false;
-    }
-  }
-  for (uint32_t n = 0; n < view.node_count; ++n) {
-    if (view.node_field(n, 0) >= view.node_count) return false;  // fail
-    uint64_t edge_begin = view.node_field(n, 1);
-    uint64_t edge_num = view.node_field(n, 2);
-    if (edge_begin + edge_num > view.edge_count) return false;
-    uint64_t out_begin = view.node_field(n, 3);
-    uint64_t out_num = view.node_field(n, 4);
-    if (out_begin + out_num > view.output_count) return false;
-  }
-  for (uint32_t e = 0; e < view.edge_count; ++e) {
-    if ((view.edge(e) & 0x00FFFFFFu) >= view.node_count) return false;
-  }
-  for (uint32_t o = 0; o < view.output_count; ++o) {
-    if (view.output(o) >= view.pattern_count) return false;
-  }
-  return true;
-}
-
 uint32_t FusedAutomaton::pattern_count() const {
   if (blob_.empty()) return 0;
   return LoadU32(blob_.data() + 4);
@@ -323,9 +290,7 @@ void FusedAutomaton::Scan(std::string_view stream,
     uint32_t out_begin = view.node_field(state, 3);
     for (uint32_t k = 0; k < out_num; ++k) {
       uint32_t p = view.output(out_begin + k);
-      size_t len = view.pattern(p).size();
-      if (len > i + 1) continue;  // Corrupt blob guard; impossible if sound.
-      (*occurrences)[p].push_back(i + 1 - len);
+      (*occurrences)[p].push_back(i + 1 - view.pattern(p).size());
     }
   }
 }
@@ -358,35 +323,6 @@ std::shared_ptr<const FusedSiteExtractor> FusedSiteExtractor::Build(
   }
   return std::shared_ptr<const FusedSiteExtractor>(
       new FusedSiteExtractor(builder.Build(), std::move(attributes)));
-}
-
-std::shared_ptr<const FusedSiteExtractor> FusedSiteExtractor::FromBlob(
-    std::string_view blob, std::vector<Attribute> attributes) {
-  // Before validation, so a one-attribute site costs no blob walk or copy.
-  if (attributes.size() < kMinFusedAttributes) return nullptr;
-  if (!FusedAutomaton::Validate(blob)) return nullptr;
-  FusedAutomaton automaton(blob);
-  uint32_t count = automaton.pattern_count();
-  for (size_t i = 0; i < attributes.size(); ++i) {
-    const Attribute& attr = attributes[i];
-    if (attr.plan == nullptr || !attr.plan->dom_free()) return nullptr;
-    if (i > 0 && !(attributes[i - 1].name < attr.name)) return nullptr;
-    // Each binding must be in range AND name the exact delimiter bytes
-    // the plan matches on — a cheap cross-check that catches packs whose
-    // automaton and plan sections disagree (corruption, stale rebuild).
-    auto check = [&](uint32_t id, const std::string& delim) {
-      if (id == kNoPattern) return delim.empty();
-      return id < count && automaton.pattern(id) == delim;
-    };
-    if (attr.plan->is_lr()) {
-      if (!check(attr.left_pattern, attr.plan->left())) return nullptr;
-    } else {
-      if (!check(attr.head_pattern, attr.plan->head())) return nullptr;
-      if (!check(attr.tail_pattern, attr.plan->tail())) return nullptr;
-    }
-  }
-  return std::shared_ptr<const FusedSiteExtractor>(new FusedSiteExtractor(
-      std::string(blob), std::move(attributes)));
 }
 
 FusedSiteExtractor::FusedSiteExtractor(std::string blob,

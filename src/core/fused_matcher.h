@@ -15,10 +15,9 @@ namespace ntw::core {
 /// site's LR/HLRT delimiter strings (lefts, heads, tails) are folded into
 /// one Aho–Corasick automaton, so one pass over the flattened page stream
 /// yields the occurrence lists every attribute's matcher needs — instead
-/// of one BMH scan of the page per attribute. The automaton is stored in
-/// a fixed-layout, offset-based byte blob so the exact same bytes work
-/// both built in memory (directory backend, hot publishes) and mapped
-/// straight out of a wrapper pack.
+/// of one BMH scan of the page per attribute. The automaton is built in
+/// process from the site's compiled plans — on both repository backends,
+/// once per site per snapshot — into a fixed-layout, offset-based blob.
 ///
 /// Byte-identity contract: for every bound attribute, the fused extraction
 /// returns exactly the bytes CompiledWrapper::ExtractStreaming returns for
@@ -55,18 +54,13 @@ class AcBuilder {
   std::vector<std::string> patterns_;
 };
 
-/// Read-only view over a serialized automaton blob. Validate() must
-/// accept the bytes before construction when they come from an untrusted
-/// source (a mapped pack); blobs from AcBuilder::Build are valid by
-/// construction. The view does not own the blob.
+/// Read-only view over a serialized automaton blob from AcBuilder::Build
+/// (valid by construction; blobs never come from outside the process).
+/// The view does not own the blob.
 class FusedAutomaton {
  public:
   FusedAutomaton() = default;
   explicit FusedAutomaton(std::string_view blob) : blob_(blob) {}
-
-  /// Full structural check: header sizes, every offset/index in bounds.
-  /// A blob that passes cannot make Scan() touch memory outside it.
-  static bool Validate(std::string_view blob);
 
   bool empty() const { return blob_.empty(); }
   uint32_t pattern_count() const;
@@ -111,21 +105,12 @@ class FusedSiteExtractor {
     uint32_t tail_pattern = kNoPattern;
   };
 
-  /// Builds automaton + bindings from a site's dom_free plans (directory
-  /// backend and hot publishes). Attributes must be sorted by name.
-  /// Returns nullptr when fewer than kMinFusedAttributes plans are
-  /// dom_free.
+  /// Builds automaton + bindings from a site's plans, keeping the
+  /// dom_free ones (attributes end up sorted by name). Returns nullptr
+  /// when fewer than kMinFusedAttributes plans are dom_free.
   static std::shared_ptr<const FusedSiteExtractor> Build(
       std::vector<std::pair<std::string,
                             std::shared_ptr<const CompiledWrapper>>> plans);
-
-  /// Wraps a pre-serialized automaton (a pack's — the blob is copied so
-  /// the extractor never outlives its mapping) with externally supplied
-  /// bindings. Returns nullptr for fewer than kMinFusedAttributes
-  /// attributes (checked first: no validation, no copy), or if the blob
-  /// fails validation or a binding is out of range.
-  static std::shared_ptr<const FusedSiteExtractor> FromBlob(
-      std::string_view blob, std::vector<Attribute> attributes);
 
   /// Scans the page once and extracts every attribute:
   /// scratch.values[i] receives attributes()[i]'s values, byte-identical

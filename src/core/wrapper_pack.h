@@ -10,25 +10,27 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/compiled_wrapper.h"
 
 namespace ntw::core {
 
 /// The wrapper pack (DESIGN.md §15): a single file holding an entire
-/// wrapper repository — interned string table, fixed-layout compiled
-/// plans (offset-based, no pointers), a sorted per-site directory, and
-/// one fused Aho–Corasick delimiter automaton per site — laid out so the
-/// serving daemon opens it with one mmap and pages cold sites in on
-/// demand. Produced by `ntw_pack build` from a `<site>/<attr>.wrapper`
-/// directory; consumed by WrapperRepository's pack backend.
+/// wrapper repository — a sorted per-site directory, a sorted entry
+/// directory and an interned string table of attribute names and
+/// serialized wrapper records — laid out so the serving daemon opens it
+/// with one mmap and pages cold sites in on demand. Produced by
+/// `ntw_pack build` from a `<site>/<attr>.wrapper` directory; consumed by
+/// WrapperRepository's pack backend.
 ///
-/// File layout (little/native-endian, guarded by an endian stamp):
+/// The pack stores records only. Compiled plans and fused delimiter
+/// automata are derived from them in-process, the same way for both
+/// repository backends (CompiledWrapper::Compile on materialization,
+/// FusedSiteExtractor::Build on a site's first FindFused).
+///
+/// File layout (native-endian, guarded by an endian stamp):
 ///
 ///   PackHeader                      (checksummed; validated at Open)
 ///   site directory  [site_count]    sorted by name
 ///   entry directory [entry_count]   sorted by (site, attribute)
-///   plans section                   fixed-layout plan blobs
-///   automata section                per-site fused-automaton blobs
 ///   string table                    deduplicated bytes
 ///
 /// Open() validates only the header (magic, version, endian, size,
@@ -36,8 +38,8 @@ namespace ntw::core {
 /// makes cold RSS sublinear in site count. Every accessor bounds-checks
 /// the refs it follows, so a pack whose body is corrupt can return wrong
 /// or missing entries but can never read outside the mapping. `ntw_pack
-/// verify` (Verify()) does the full job: body checksum + structural walk
-/// + plan/automaton cross-checks.
+/// verify` (Verify()) does the full job: body checksum + a canonical
+/// bit-identical rebuild from the pack's own records.
 
 /// Offset+length into the pack's string table.
 struct PackStrRef {
@@ -45,16 +47,8 @@ struct PackStrRef {
   uint32_t len = 0;
 };
 
-/// Plan kinds stored in entry records.
-enum PackPlanKind : uint32_t {
-  kPackPlanXPath = 0,
-  kPackPlanLr = 1,
-  kPackPlanHlrt = 2,
-  kPackPlanNone = 3,  // Record present, no compiled form (interpreter only).
-};
-
 struct PackHeader {
-  char magic[8];            // "NTWPACK1"
+  char magic[8];            // "NTWPACK2"
   uint32_t version;         // kPackVersion
   uint32_t endian;          // kPackEndian as written by the producer
   uint64_t file_size;       // Total bytes; must equal the mapped size.
@@ -64,42 +58,32 @@ struct PackHeader {
   uint64_t entry_count;
   uint64_t sites_off;
   uint64_t entries_off;
-  uint64_t plans_off;
-  uint64_t plans_len;
-  uint64_t automata_off;
-  uint64_t automata_len;
   uint64_t strtab_off;
   uint64_t strtab_len;
 };
-static_assert(sizeof(PackHeader) == 120, "fixed on-disk layout");
+static_assert(sizeof(PackHeader) == 88, "fixed on-disk layout");
 
 struct PackSiteRec {
   PackStrRef name;
   uint32_t entry_begin;    // Index into the entry directory.
   uint32_t entry_count;
-  uint64_t automaton_off;  // Absolute file offset; 0/0 = no automaton.
-  uint64_t automaton_len;
 };
-static_assert(sizeof(PackSiteRec) == 32, "fixed on-disk layout");
+static_assert(sizeof(PackSiteRec) == 16, "fixed on-disk layout");
 
 struct PackEntryRec {
   PackStrRef attribute;
   PackStrRef record;       // Serialized wrapper (wrapper_store format).
-  uint32_t plan_kind;      // PackPlanKind
-  uint32_t left_pattern;   // Pattern ids into the site's automaton,
-  uint32_t head_pattern;   // kNoPattern (0xFFFFFFFF) when unbound.
-  uint32_t tail_pattern;
-  uint64_t plan_off;       // Absolute file offset of the plan blob.
-  uint64_t plan_len;
 };
-static_assert(sizeof(PackEntryRec) == 48, "fixed on-disk layout");
+static_assert(sizeof(PackEntryRec) == 16, "fixed on-disk layout");
 
-inline constexpr char kPackMagic[8] = {'N', 'T', 'W', 'P', 'A', 'C', 'K', '1'};
-inline constexpr uint32_t kPackVersion = 1;
+/// Every pack version shares the first seven magic bytes and the version
+/// field's offset, so Open() reports an older pack as a version mismatch.
+inline constexpr char kPackMagic[8] = {'N', 'T', 'W', 'P', 'A', 'C', 'K', '2'};
+inline constexpr uint32_t kPackVersion = 2;
 inline constexpr uint32_t kPackEndian = 0x01020304;
 
 /// Accumulates (site, attribute, record) triples and serializes the pack.
-/// Records are validated (deserialized + plan-compiled) at Add time.
+/// Records are validated (deserialized) at Add time.
 class WrapperPackBuilder {
  public:
   Status Add(const std::string& site, const std::string& attribute,
@@ -122,9 +106,8 @@ class WrapperPackBuilder {
 };
 
 /// A read-only mapped pack. Thread-safe: all state is immutable after
-/// Open. Keep the shared_ptr alive for as long as any view, record
-/// string_view, or plan built from it is in use (plans copy their
-/// delimiters, but record/attribute/automaton views alias the mapping).
+/// Open. Keep the shared_ptr alive for as long as any view or record
+/// string_view from it is in use (they alias the mapping).
 class WrapperPack {
  public:
   /// mmaps `path` and validates the header. Fails (never crashes) on
@@ -145,15 +128,6 @@ class WrapperPack {
    public:
     std::string_view attribute() const;
     std::string_view record() const;
-    uint32_t plan_kind() const { return rec_.plan_kind; }
-    uint32_t left_pattern() const { return rec_.left_pattern; }
-    uint32_t head_pattern() const { return rec_.head_pattern; }
-    uint32_t tail_pattern() const { return rec_.tail_pattern; }
-
-    /// Reconstructs the compiled plan from the fixed-layout blob —
-    /// bitwise the plan CompiledWrapper::Compile builds from the same
-    /// record. nullptr for kPackPlanNone or a malformed blob.
-    std::shared_ptr<const CompiledWrapper> CompilePlan() const;
 
    private:
     friend class WrapperPack;
@@ -168,8 +142,6 @@ class WrapperPack {
     std::string_view name() const;
     size_t entry_count() const { return rec_.entry_count; }
     std::optional<EntryView> entry(size_t i) const;
-    /// The site's fused-automaton blob (empty when none was stored).
-    std::string_view automaton() const;
 
    private:
     friend class WrapperPack;
@@ -186,11 +158,11 @@ class WrapperPack {
   std::optional<EntryView> FindEntry(std::string_view site,
                                      std::string_view attribute) const;
 
-  /// Full validation: body checksum, directory sortedness and bounds,
-  /// every record deserializable, every plan blob decodable and
-  /// consistent with its record, every automaton valid with pattern
-  /// bindings matching the plans. Touches every page (ntw_pack verify —
-  /// never on the serving open path).
+  /// Full validation: body checksum, then a rebuild from the pack's own
+  /// records (each must deserialize) that must match the file bit for
+  /// bit — which covers directory order, bounds, interning and padding.
+  /// Touches every page (ntw_pack verify — never on the serving open
+  /// path).
   Status Verify() const;
 
   const std::string& path() const { return path_; }

@@ -115,8 +115,8 @@ CrawlPipeline::CrawlPipeline(const serve::WrapperRepository* repository,
                           options_.max_pages, options_.domain_parallelism},
           &limiter_),
       robots_(options_.robots_ttl_seconds),
-      router_(core::ExtractionRouter::Options{.fast_path = options_.fast_path,
-                                              .fused = options_.fused}) {
+      router_(core::ExtractionRouter::Options{
+          .fast_path = options_.fast_path}) {
   if (options_.workers < 1) options_.workers = 1;
   // A full emit window must always contain a seq some worker owns.
   if (options_.emit_window <= static_cast<size_t>(options_.workers)) {

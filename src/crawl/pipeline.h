@@ -44,14 +44,10 @@ struct CrawlOptions {
   // (SiteFromUrl) when the whole crawl targets one site.
   std::string attribute;
   std::string fixed_site;
-  /// Off: every page goes to the heap-DOM interpreter.
+  /// Off: every page goes to the heap-DOM interpreter. On, a site whose
+  /// wrappers include two or more dom_free ones is scanned once with its
+  /// fused automaton (DESIGN.md §15) unless one `attribute` is selected.
   bool fast_path = true;
-  /// Scan each page once with the site's fused multi-pattern automaton
-  /// when it covers two or more dom_free wrappers (DESIGN.md §15),
-  /// instead of one BMH pass per attribute. Only consulted when fast_path
-  /// is on and no single `attribute` filter applies.
-  /// Output bytes are identical either way.
-  bool fused = true;
   /// Feed drift detectors and enqueue re-induction (needs a reinducer).
   bool self_heal = false;
 

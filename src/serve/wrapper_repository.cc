@@ -1,6 +1,5 @@
 #include "serve/wrapper_repository.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -184,12 +183,7 @@ const WrapperRepository::Entry* WrapperRepository::Snapshot::MaterializeLocked(
   Result<core::WrapperPtr> wrapper = core::DeserializeWrapper(entry->record);
   if (!wrapper.ok()) return nullptr;  // Corrupt record: behave as a miss.
   entry->wrapper = std::move(*wrapper);
-  // Finalize the compiled plan from the pack's fixed layout; a plan blob
-  // that fails to decode falls back to compiling the parsed record.
-  entry->compiled = pack_entry->CompilePlan();
-  if (entry->compiled == nullptr) {
-    entry->compiled = core::CompiledWrapper::Compile(*entry->wrapper);
-  }
+  entry->compiled = core::CompiledWrapper::Compile(*entry->wrapper);
   entry->response_prefix =
       BuildResponsePrefix(site, attribute, entry->record, version);
   if (drift_registry_ != nullptr) {
@@ -206,72 +200,33 @@ WrapperRepository::Snapshot::FindFused(const std::string& site) const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto hit = fused_cache_.find(site);
   if (hit != fused_cache_.end()) return hit->second;
-
-  // Overlay (or directory-backend) plans for the site, ascending.
+  std::vector<std::pair<std::string, const Entry*>> entries =
+      MaterializeSiteLocked(site);
+  if (entries.empty()) return nullptr;  // Unknown site: not cached.
   std::vector<
       std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
-      overlay;
-  for (auto it = wrappers.lower_bound({site, std::string()});
-       it != wrappers.end() && it->first.first == site; ++it) {
-    overlay.emplace_back(it->first.second, it->second.compiled);
-  }
-
-  std::shared_ptr<const core::FusedSiteExtractor> fused;
-  std::optional<core::WrapperPack::SiteView> pack_site;
-  if (pack != nullptr) pack_site = pack->FindSite(site);
-  if (!pack_site.has_value()) {
-    if (overlay.empty()) return nullptr;  // Unknown site: not cached.
-    fused = core::FusedSiteExtractor::Build(std::move(overlay));
-  } else if (overlay.empty()) {
-    // Pure pack site: bind the stored automaton to lazily finalized
-    // plans — no automaton construction, just validation + binding.
-    std::vector<core::FusedSiteExtractor::Attribute> attributes;
-    for (size_t i = 0; i < pack_site->entry_count(); ++i) {
-      auto pack_entry = pack_site->entry(i);
-      if (!pack_entry.has_value()) continue;
-      std::string attribute(pack_entry->attribute());
-      const Entry* entry = MaterializeLocked(site, attribute);
-      if (entry == nullptr || entry->compiled == nullptr ||
-          !entry->compiled->dom_free()) {
-        continue;
-      }
-      core::FusedSiteExtractor::Attribute bound;
-      bound.name = std::move(attribute);
-      bound.plan = entry->compiled;
-      bound.left_pattern = pack_entry->left_pattern();
-      bound.head_pattern = pack_entry->head_pattern();
-      bound.tail_pattern = pack_entry->tail_pattern();
-      attributes.push_back(std::move(bound));
-    }
-    fused = core::FusedSiteExtractor::FromBlob(pack_site->automaton(),
-                                               std::move(attributes));
-  } else {
-    // Overlay shadows pack attributes: the stored automaton no longer
-    // covers the site's live delimiter set, so rebuild in memory from
-    // the merged plans.
-    auto merged = overlay;
-    for (size_t i = 0; i < pack_site->entry_count(); ++i) {
-      auto pack_entry = pack_site->entry(i);
-      if (!pack_entry.has_value()) continue;
-      std::string attribute(pack_entry->attribute());
-      bool shadowed = std::any_of(
-          overlay.begin(), overlay.end(),
-          [&](const auto& o) { return o.first == attribute; });
-      if (shadowed) continue;
-      const Entry* entry = MaterializeLocked(site, attribute);
-      if (entry == nullptr) continue;
-      merged.emplace_back(std::move(attribute), entry->compiled);
-    }
-    fused = core::FusedSiteExtractor::Build(std::move(merged));
+      plans;
+  plans.reserve(entries.size());
+  for (auto& [attribute, entry] : entries) {
+    plans.emplace_back(std::move(attribute), entry->compiled);
   }
   // Cache even a null result (site exists, fewer than two dom_free
   // plans): the lookup answer is stable for the snapshot's lifetime.
+  auto fused = core::FusedSiteExtractor::Build(std::move(plans));
   fused_cache_[site] = fused;
   return fused;
 }
 
 std::vector<std::pair<std::string, const WrapperRepository::Entry*>>
 WrapperRepository::Snapshot::MaterializeSite(const std::string& site) const {
+  if (pack == nullptr) return MaterializeSiteLocked(site);  // No lazy cache.
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return MaterializeSiteLocked(site);
+}
+
+std::vector<std::pair<std::string, const WrapperRepository::Entry*>>
+WrapperRepository::Snapshot::MaterializeSiteLocked(
+    const std::string& site) const {
   std::vector<std::pair<std::string, const Entry*>> overlay;
   for (auto it = wrappers.lower_bound({site, std::string()});
        it != wrappers.end() && it->first.first == site; ++it) {
@@ -282,7 +237,6 @@ WrapperRepository::Snapshot::MaterializeSite(const std::string& site) const {
   if (!pack_site.has_value()) return overlay;
 
   std::vector<std::pair<std::string, const Entry*>> merged;
-  std::lock_guard<std::mutex> lock(cache_mu_);
   size_t oi = 0;
   for (size_t i = 0; i < pack_site->entry_count(); ++i) {
     auto pack_entry = pack_site->entry(i);

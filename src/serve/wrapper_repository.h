@@ -68,9 +68,10 @@ class DriftRegistry {
 ///     are incremental: files whose (mtime, size) are unchanged reuse
 ///     the previous snapshot's parsed entry).
 ///   - Pack (DESIGN.md §15): a single mmap'd wrapper-pack file
-///     (`--pack`). Load() is O(mmap); cold sites page in on demand and
-///     are lazily finalized into a per-snapshot compiled-plan cache on
-///     first hit. The directory root, when also given, acts as an
+///     (`--pack`) of records only. Load() is O(mmap); cold sites page in
+///     on demand, and each record is parsed and compiled into a
+///     per-snapshot cache on first hit, exactly as Load() compiles a
+///     directory record. The directory root, when also given, acts as an
 ///     eagerly-loaded *overlay delta* on top of the mapped generation —
 ///     `PublishWrapper` self-heal repairs land there, shadowing the
 ///     pack entry of the same (site, attribute).
@@ -141,19 +142,21 @@ class WrapperRepository {
     std::shared_ptr<const core::WrapperPack> pack;
 
     /// Overlay first, then the pack: a pack entry is lazily finalized
-    /// (record copied, plan built from the fixed layout, response
-    /// prefix + drift state attached) into this snapshot's cache on
-    /// first hit; later hits return the cached entry. The pointer stays
-    /// valid for the snapshot's lifetime (hold a pin). Null on a true
-    /// miss or an unparseable pack record.
+    /// (record copied, parsed and compiled, response prefix + drift
+    /// state attached) into this snapshot's cache on first hit; later
+    /// hits return the cached entry. The pointer stays valid for the
+    /// snapshot's lifetime (hold a pin). Null on a true miss or an
+    /// unparseable pack record.
     const Entry* Find(const std::string& site,
                       const std::string& attribute) const;
 
     /// The site's fused multi-attribute extractor (one page scan for
-    /// all dom_free attributes). Pack sites use the pack's stored
-    /// automaton; overlay/directory sites build one in memory on first
-    /// use. Null when the site is unknown or has no dom_free plans —
-    /// callers fall back to per-attribute extraction.
+    /// all dom_free attributes), built on first use from the plans
+    /// MaterializeSite returns — so on either backend it covers exactly
+    /// the live delimiters, overlay shadowing pack — and cached for the
+    /// snapshot. Null when the site is unknown or has fewer than
+    /// kMinFusedAttributes dom_free plans — callers fall back to
+    /// per-attribute extraction.
     std::shared_ptr<const core::FusedSiteExtractor> FindFused(
         const std::string& site) const;
 
@@ -176,6 +179,10 @@ class WrapperRepository {
 
     const Entry* MaterializeLocked(const std::string& site,
                                    const std::string& attribute) const;
+    /// MaterializeSite's body. Needs cache_mu_ held when `pack` is set
+    /// (without a pack it reads only the immutable overlay map).
+    std::vector<std::pair<std::string, const Entry*>> MaterializeSiteLocked(
+        const std::string& site) const;
 
     std::shared_ptr<DriftRegistry> drift_registry_;
     /// Guards the lazy caches; the rest of the snapshot is immutable
@@ -185,8 +192,8 @@ class WrapperRepository {
                      std::unique_ptr<const Entry>>
         cache_;
     /// Site → fused extractor. Caches nullptr for sites that exist but
-    /// have no dom_free plans (a cheap "don't retry" marker); unknown
-    /// sites are never cached.
+    /// have too few dom_free plans (a cheap "don't retry" marker);
+    /// unknown sites are never cached.
     mutable std::map<std::string,
                      std::shared_ptr<const core::FusedSiteExtractor>>
         fused_cache_;

@@ -155,40 +155,34 @@ TEST(ExtractionRouterTest, DegenerateXPathPlansTakeTheInterpreter) {
   page += "deep";
   for (int i = 0; i < 63; ++i) page += "</div>";
 
-  std::vector<core::CompiledWrapper::XPathStepSpec> deep_specs;
   xpath::Expr deep_expr;
   for (int i = 0; i < 64; ++i) {
-    core::CompiledWrapper::XPathStepSpec spec;
     xpath::Step step;
     if (i < 63) {
-      spec.tag = "div";
       step.tag = "div";
     } else {
-      spec.test = core::CompiledWrapper::XPathStepSpec::Test::kText;
       step.test = xpath::NodeTest::kText;
     }
-    deep_specs.push_back(spec);
     deep_expr.steps.push_back(step);
   }
 
   struct Case {
     const char* name;
-    std::vector<core::CompiledWrapper::XPathStepSpec> specs;
     xpath::Expr expr;
     std::vector<std::string> expected;
   };
   // The empty program selects the document root, whose text is empty.
   const Case cases[] = {
-      {"0 steps", {}, xpath::Expr{}, {""}},
-      {"64 steps", deep_specs, deep_expr, {"deep"}},
+      {"0 steps", xpath::Expr{}, {""}},
+      {"64 steps", deep_expr, {"deep"}},
   };
   core::ExtractionRouter router;
   for (const Case& c : cases) {
+    core::XPathWrapper wrapper(c.expr);
     std::shared_ptr<const core::CompiledWrapper> compiled =
-        core::CompiledWrapper::MakeXPath(c.specs);
+        core::CompiledWrapper::Compile(wrapper);
     ASSERT_NE(compiled, nullptr) << c.name;
     EXPECT_FALSE(compiled->streamable()) << c.name;
-    core::XPathWrapper wrapper(c.expr);
     std::vector<std::string> interpreted = InterpretedValues(wrapper, page);
     EXPECT_EQ(interpreted, c.expected) << c.name;
 

@@ -1,19 +1,18 @@
 // Fused multi-attribute extraction tests (DESIGN.md §15). The contract
 // under test is byte-identity: the shared Aho–Corasick pass must yield
 // exactly the occurrence sets the per-attribute BMH scans enumerate, and
-// everything built on it — FusedSiteExtractor (in-memory and pack-blob
-// variants), the repository's FindFused on both backends, and the
-// service's `attribute=*` endpoint with the fused scan on or off — must
-// return the same bytes as the per-attribute path. Sites covering fewer
-// than two attributes get no fused extractor at all.
-
-#include <sys/mman.h>
+// everything built on it — FusedSiteExtractor, the repository's FindFused
+// on both backends (and on a pack site an overlay publish shadows), and
+// the service's `attribute=*` endpoint with the fused scan on or off —
+// must return the same bytes as the per-attribute path. Sites covering
+// fewer than two attributes get no fused extractor at all.
 
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/file_util.h"
@@ -21,17 +20,26 @@
 #include "common/thread_pool.h"
 #include "core/compiled_wrapper.h"
 #include "core/fused_matcher.h"
+#include "core/hlrt_inductor.h"
+#include "core/lr_inductor.h"
 #include "core/wrapper_pack.h"
+#include "core/wrapper_store.h"
+#include "core/xpath_inductor.h"
 #include "gtest/gtest.h"
 #include "serve/http.h"
 #include "serve/service.h"
 #include "serve/wrapper_repository.h"
 #include "sitegen/origin.h"
+#include "xpath/parser.h"
 
 namespace ntw {
 namespace {
 
 constexpr char kSuffix[] = ".wrapper";
+
+std::shared_ptr<const core::CompiledWrapper> Plan(const core::Wrapper& w) {
+  return core::CompiledWrapper::Compile(w);
+}
 
 std::vector<size_t> BmhOccurrences(const core::StringSearcher& searcher,
                                    std::string_view haystack) {
@@ -69,7 +77,6 @@ TEST(FusedAutomatonTest, ScanMatchesBmhOnRandomInputs) {
     EXPECT_EQ(builder.AddPattern(""), core::kNoPattern);
 
     std::string blob = builder.Build();
-    ASSERT_TRUE(core::FusedAutomaton::Validate(blob));
     core::FusedAutomaton automaton(blob);
 
     std::string haystack;
@@ -94,12 +101,11 @@ TEST(FusedAutomatonTest, ScanMatchesBmhOnRandomInputs) {
 std::vector<std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
 EdgeCasePlans() {
   return {
-      {"bold", core::CompiledWrapper::MakeLr("<b>", "</b>")},
-      {"leftless", core::CompiledWrapper::MakeLr("", "</i>")},
-      {"list", core::CompiledWrapper::MakeHlrt("<ul>", "</ul>", "<li>",
-                                               "</li>")},
-      {"notail", core::CompiledWrapper::MakeHlrt("<ol>", "<!--never-->",
-                                                 "<li>", "</li>")},
+      {"bold", Plan(core::LrWrapper("<b>", "</b>"))},
+      {"leftless", Plan(core::LrWrapper("", "</i>"))},
+      {"list", Plan(core::HlrtWrapper("<ul>", "</ul>", "<li>", "</li>"))},
+      {"notail",
+       Plan(core::HlrtWrapper("<ol>", "<!--never-->", "<li>", "</li>"))},
   };
 }
 
@@ -146,28 +152,6 @@ TEST(FusedSiteExtractorTest, MatchesPerAttributeStreaming) {
   ExpectFusedMatchesPerAttribute(*fused, plans, "<b>unclosed");
 }
 
-TEST(FusedSiteExtractorTest, FromBlobMatchesBuild) {
-  auto plans = EdgeCasePlans();
-  auto built = core::FusedSiteExtractor::Build(plans);
-  ASSERT_NE(built, nullptr);
-
-  std::vector<core::FusedSiteExtractor::Attribute> attributes(
-      built->attributes());
-  auto from_blob =
-      core::FusedSiteExtractor::FromBlob(built->blob(), attributes);
-  ASSERT_NE(from_blob, nullptr);
-  EXPECT_EQ(from_blob->blob(), built->blob());
-  ExpectFusedMatchesPerAttribute(*from_blob, plans, kEdgeCasePage);
-
-  // Out-of-range pattern bindings and invalid blobs are rejected.
-  auto bad_binding = attributes;
-  bad_binding[0].left_pattern = 1000;
-  EXPECT_EQ(core::FusedSiteExtractor::FromBlob(built->blob(), bad_binding),
-            nullptr);
-  EXPECT_EQ(core::FusedSiteExtractor::FromBlob("garbage", attributes),
-            nullptr);
-}
-
 // Compiles the `<root>/<site>/<attribute>.wrapper` tree into a pack.
 void WritePackFromDirectory(const std::string& root, const std::string& pack) {
   core::WrapperPackBuilder builder;
@@ -200,37 +184,19 @@ serve::HttpRequest MultiAttributeRequest(const std::string& site,
 }
 
 // One covered attribute is not worth an automaton: its own BMH scan is
-// cheaper than a one-pattern Aho–Corasick pass, so both constructors
-// decline, and FromBlob declines before it reads the blob.
+// cheaper than a one-pattern Aho–Corasick pass, so Build declines.
 TEST(FusedSiteExtractorTest, FewerThanTwoCoveredAttributesGetNoExtractor) {
-  core::CompiledWrapper::XPathStepSpec step;
-  step.descendant = true;
-  step.tag = "b";
-  auto xpath = core::CompiledWrapper::MakeXPath({step});
-  auto lr = core::CompiledWrapper::MakeLr("<b>", "</b>");
-  auto other_lr = core::CompiledWrapper::MakeLr("<i>", "</i>");
+  auto expr = xpath::ParseXPath("//b");
+  ASSERT_TRUE(expr.ok());
+  auto xpath = Plan(core::XPathWrapper(*expr));
+  auto lr = Plan(core::LrWrapper("<b>", "</b>"));
+  auto other_lr = Plan(core::LrWrapper("<i>", "</i>"));
   EXPECT_EQ(core::FusedSiteExtractor::Build({{"name", lr}}), nullptr);
   EXPECT_EQ(core::FusedSiteExtractor::Build({{"name", lr}, {"tree", xpath}}),
             nullptr);
   EXPECT_NE(
       core::FusedSiteExtractor::Build({{"name", lr}, {"other", other_lr}}),
       nullptr);
-
-  // A blob in memory the process may not read: validating or copying it
-  // would fault.
-  const size_t size = 1 << 16;
-  void* guard = ::mmap(nullptr, size, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS,
-                       -1, 0);
-  ASSERT_NE(guard, MAP_FAILED);
-  core::FusedSiteExtractor::Attribute attribute;
-  attribute.name = "name";
-  attribute.plan = lr;
-  attribute.left_pattern = 0;
-  EXPECT_EQ(core::FusedSiteExtractor::FromBlob(
-                std::string_view(static_cast<const char*>(guard), size),
-                {attribute}),
-            nullptr);
-  ::munmap(guard, size);
 }
 
 class FusedRepositoryTest : public ::testing::Test {
@@ -296,8 +262,8 @@ TEST_F(FusedRepositoryTest, PackFusedMatchesDirectoryFused) {
     ASSERT_EQ(from_dir == nullptr, from_pack == nullptr) << site;
     if (from_dir == nullptr) continue;
     ++fused_sites;
-    // Same attributes, same serialized automaton (the pack stores the
-    // bytes the in-memory builder produces).
+    // Same attributes, same serialized automaton: both backends build
+    // it from the same compiled plans.
     ASSERT_EQ(from_dir->attributes().size(), from_pack->attributes().size());
     EXPECT_EQ(from_dir->blob(), from_pack->blob()) << site;
 
@@ -408,6 +374,87 @@ TEST(FusedOriginRepositoryTest, OneDomFreeAttributeSitesAreNotFused) {
       }
     }
   }
+  std::filesystem::remove_all(work);
+}
+
+// The one FindFused case that mixes backends: a pack site whose middle
+// LR attribute an overlay publish replaces. The site's extractor must be
+// built from the live plans — the overlay's delimiters, not the shadowed
+// pack record's — and `attribute=*` must answer with the same bytes as
+// the per-attribute path.
+TEST(FusedOverlayTest, OverlayPublishShadowsPackDelimiters) {
+  std::string work = (std::filesystem::temp_directory_path() /
+                      "ntw_fused_overlay_test")
+                         .string();
+  std::filesystem::remove_all(work);
+  std::filesystem::create_directories(work);
+  core::WrapperPackBuilder builder;
+  for (const auto& [attribute, left, right] :
+       {std::tuple<const char*, const char*, const char*>{"a", "<b>", "</b>"},
+        {"b", "<i>", "</i>"},
+        {"c", "<u>", "</u>"}}) {
+    auto record = core::SerializeWrapper(core::LrWrapper(left, right));
+    ASSERT_TRUE(record.ok());
+    ASSERT_TRUE(builder.Add("shop", attribute, *record).ok());
+  }
+  std::string pack = work + "/wrappers.pack";
+  ASSERT_TRUE(builder.WriteFile(pack).ok());
+
+  serve::WrapperRepository repo(
+      serve::WrapperRepository::Options{std::string(), pack});
+  ASSERT_TRUE(repo.Load().ok());
+  auto patterns = [](const core::FusedSiteExtractor& fused) {
+    core::FusedAutomaton automaton(fused.blob());
+    std::vector<std::string> out;
+    for (uint32_t id = 0; id < automaton.pattern_count(); ++id) {
+      out.emplace_back(automaton.pattern(id));
+    }
+    return out;
+  };
+  {
+    auto fused = repo.Pin()->FindFused("shop");
+    ASSERT_NE(fused, nullptr);
+    EXPECT_EQ(patterns(*fused),
+              (std::vector<std::string>{"<b>", "<i>", "<u>"}));
+  }
+
+  ASSERT_TRUE(repo.PublishWrapper("shop", "b",
+                                  std::make_shared<core::LrWrapper>(
+                                      "<em>", "</em>"))
+                  .ok());
+  auto pin = repo.Pin();
+  ASSERT_NE(pin->pack, nullptr);
+  auto fused = pin->FindFused("shop");
+  ASSERT_NE(fused, nullptr);
+  ASSERT_EQ(fused->attributes().size(), 3u);
+  EXPECT_EQ(patterns(*fused),
+            (std::vector<std::string>{"<b>", "<em>", "<u>"}));
+  size_t b = fused->FindAttribute("b");
+  ASSERT_NE(b, std::string_view::npos);
+  EXPECT_EQ(fused->attributes()[b].plan->left(), "<em>");
+  EXPECT_EQ(fused->attributes()[b].plan, pin->Find("shop", "b")->compiled);
+
+  ThreadPool pool(2);
+  serve::ExtractService::Options fused_off;
+  fused_off.fused = false;
+  serve::ExtractService with_fused(&repo, &pool);
+  serve::ExtractService without_fused(&repo, &pool, fused_off);
+  for (const char* page :
+       {"<p><b>one</b><i>stale</i><em>fresh</em><u>three</u></p>",
+        "<i>only the shadowed delimiter</i>", ""}) {
+    serve::HttpRequest request = MultiAttributeRequest("shop", page);
+    serve::HttpResponse expected = without_fused.Handle(request);
+    ASSERT_EQ(expected.status, 200) << expected.body;
+    EXPECT_EQ(expected.body.find("stale"), std::string::npos)
+        << expected.body;
+    serve::HttpResponse actual = with_fused.Handle(request);
+    EXPECT_EQ(actual.status, expected.status);
+    EXPECT_EQ(actual.body, expected.body);
+  }
+  EXPECT_NE(without_fused.Handle(MultiAttributeRequest(
+                                     "shop", "<em>fresh</em>"))
+                .body.find("\"b\":[\"fresh\"]"),
+            std::string::npos);
   std::filesystem::remove_all(work);
 }
 

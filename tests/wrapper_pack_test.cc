@@ -1,10 +1,11 @@
 // Wrapper-pack tests (DESIGN.md §15): build→open roundtrip identity
 // against the directory backend, deterministic rebuilds, clean rejection
 // of truncated / bit-flipped / version-mismatched packs (no crash, no
-// out-of-bounds reads under ASan), the repository's directory fallback
-// when a pack is corrupt, lazy pack materialization, overlay publishes on
-// a pack backend, and incremental directory reloads that reuse unchanged
-// entries by pointer.
+// out-of-bounds reads under ASan, through the accessors and through the
+// repository and service built on them), the repository's directory
+// fallback when a pack is corrupt, lazy pack materialization, overlay
+// publishes on a pack backend, and incremental directory reloads that
+// reuse unchanged entries by pointer.
 
 #include <cstdint>
 #include <cstring>
@@ -17,6 +18,7 @@
 
 #include "common/file_util.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "core/compiled_wrapper.h"
 #include "core/fused_matcher.h"
 #include "core/lr_inductor.h"
@@ -25,6 +27,8 @@
 #include "core/wrapper_store.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "serve/http.h"
+#include "serve/service.h"
 #include "serve/wrapper_repository.h"
 #include "sitegen/origin.h"
 
@@ -121,6 +125,14 @@ TEST_F(WrapperPackTest, RoundtripMatchesDirectoryBackend) {
   EXPECT_EQ((*pack)->site_count(), 9u);
   EXPECT_TRUE((*pack)->Verify().ok()) << (*pack)->Verify().ToString();
 
+  serve::WrapperRepository dir_repo(root);
+  ASSERT_TRUE(dir_repo.Load().ok());
+  serve::WrapperRepository pack_repo(
+      serve::WrapperRepository::Options{std::string(), path});
+  ASSERT_TRUE(pack_repo.Load().ok());
+  auto dir_pin = dir_repo.Pin();
+  auto pack_pin = pack_repo.Pin();
+
   auto site_dirs = ListSubdirectories(root);
   ASSERT_TRUE(site_dirs.ok());
   for (const std::string& site_dir : *site_dirs) {
@@ -137,22 +149,24 @@ TEST_F(WrapperPackTest, RoundtripMatchesDirectoryBackend) {
       ASSERT_TRUE(entry.has_value()) << site << "/" << attr;
       EXPECT_EQ(entry->record(), Trimmed(*on_disk));
 
-      // The pack's fixed-layout plan must agree with the plan compiled
-      // from the record.
-      auto record = core::DeserializeWrapper(std::string(entry->record()));
-      ASSERT_TRUE(record.ok());
-      auto compiled = core::CompiledWrapper::Compile(**record);
-      auto from_pack = entry->CompilePlan();
+      // The plan the pack backend materializes must agree with the
+      // directory backend's.
+      const auto* from_dir = dir_pin->Find(site, attr);
+      const auto* from_pack = pack_pin->Find(site, attr);
+      ASSERT_NE(from_dir, nullptr) << site << "/" << attr;
+      ASSERT_NE(from_pack, nullptr) << site << "/" << attr;
+      EXPECT_EQ(from_pack->record, from_dir->record);
+      const auto& compiled = from_dir->compiled;
       if (compiled == nullptr) {
-        EXPECT_EQ(from_pack, nullptr);
+        EXPECT_EQ(from_pack->compiled, nullptr);
         continue;
       }
-      ASSERT_NE(from_pack, nullptr) << site << "/" << attr;
-      EXPECT_STREQ(from_pack->plan_kind(), compiled->plan_kind());
-      EXPECT_EQ(from_pack->left(), compiled->left());
-      EXPECT_EQ(from_pack->right(), compiled->right());
-      EXPECT_EQ(from_pack->head(), compiled->head());
-      EXPECT_EQ(from_pack->tail(), compiled->tail());
+      ASSERT_NE(from_pack->compiled, nullptr) << site << "/" << attr;
+      EXPECT_STREQ(from_pack->compiled->plan_kind(), compiled->plan_kind());
+      EXPECT_EQ(from_pack->compiled->left(), compiled->left());
+      EXPECT_EQ(from_pack->compiled->right(), compiled->right());
+      EXPECT_EQ(from_pack->compiled->head(), compiled->head());
+      EXPECT_EQ(from_pack->compiled->tail(), compiled->tail());
       if (compiled->dom_free()) {
         std::string page = "x" + compiled->head() + compiled->left() +
                            "alpha" + compiled->right() + compiled->left() +
@@ -161,7 +175,7 @@ TEST_F(WrapperPackTest, RoundtripMatchesDirectoryBackend) {
         core::StreamPageBuffer a, b;
         std::vector<std::string_view> va, vb;
         compiled->ExtractStreaming(page, a, &va);
-        from_pack->ExtractStreaming(page, b, &vb);
+        from_pack->compiled->ExtractStreaming(page, b, &vb);
         ASSERT_EQ(va.size(), vb.size());
         for (size_t i = 0; i < va.size(); ++i) EXPECT_EQ(va[i], vb[i]);
         EXPECT_GE(va.size(), 1u);  // The synthetic page must actually hit.
@@ -250,21 +264,37 @@ TEST_F(WrapperPackTest, OpenRejectsHeaderCorruption) {
   }
 }
 
+// A version-1 pack (magic "NTWPACK1") and a future version are both
+// refused as a version mismatch, even with the header checksum resealed,
+// so the operator is told to rebuild rather than that the file is not a
+// pack.
 TEST_F(WrapperPackTest, OpenRejectsVersionMismatchEvenWhenResealed) {
   std::string path = PackFromRepo(WriteRepo(4, 2));
   auto bytes = ReadFile(path);
   ASSERT_TRUE(bytes.ok());
-  core::PackHeader header;
-  std::memcpy(&header, bytes->data(), sizeof(header));
-  header.version = core::kPackVersion + 1;
-  header.header_checksum = 0;
-  header.header_checksum = Fnv1a(&header, sizeof(header));
-  std::string patched = *bytes;
-  std::memcpy(patched.data(), &header, sizeof(header));
-  std::string patched_path = work_ + "/future.pack";
-  ASSERT_TRUE(WriteFile(patched_path, patched).ok());
-  auto pack = core::WrapperPack::Open(patched_path);
-  EXPECT_FALSE(pack.ok());
+  struct Case {
+    char magic_digit;
+    uint32_t version;
+  };
+  for (Case c : {Case{'1', 1}, Case{core::kPackMagic[7],
+                                    core::kPackVersion + 1}}) {
+    core::PackHeader header;
+    std::memcpy(&header, bytes->data(), sizeof(header));
+    header.magic[7] = c.magic_digit;
+    header.version = c.version;
+    header.header_checksum = 0;
+    header.header_checksum = Fnv1a(&header, sizeof(header));
+    std::string patched = *bytes;
+    std::memcpy(patched.data(), &header, sizeof(header));
+    std::string patched_path = work_ + "/other_version.pack";
+    ASSERT_TRUE(WriteFile(patched_path, patched).ok());
+    auto pack = core::WrapperPack::Open(patched_path);
+    ASSERT_FALSE(pack.ok()) << c.version;
+    EXPECT_NE(pack.status().message().find(StrFormat(
+                  "version %u, expected %u", c.version, core::kPackVersion)),
+              std::string::npos)
+        << pack.status().ToString();
+  }
 }
 
 TEST_F(WrapperPackTest, VerifyRejectsBodyCorruption) {
@@ -292,6 +322,9 @@ TEST_F(WrapperPackTest, CorruptBodyNeverCrashesAccessors) {
   ASSERT_TRUE(bytes.ok());
   std::mt19937_64 rng(20260809);
   std::string corrupt_path = work_ + "/corrupt.pack";
+  ThreadPool pool(2);
+  serve::ExtractService::Options fused_off;
+  fused_off.fused = false;
   for (int round = 0; round < 64; ++round) {
     std::string corrupt = *bytes;
     size_t flips = 1 + rng() % 8;
@@ -308,31 +341,57 @@ TEST_F(WrapperPackTest, CorruptBodyNeverCrashesAccessors) {
     // Every accessor must stay inside the mapping no matter what the
     // body says (wrong results are fine; reads outside are not — ASan
     // is the judge here).
+    std::vector<std::string> site_names = {"site_000001"};
     for (size_t s = 0; s < (*pack)->site_count(); ++s) {
       auto site = (*pack)->site(s);
       if (!site.has_value()) continue;
-      (void)site->name();
-      std::string_view blob = site->automaton();
-      if (core::FusedAutomaton::Validate(blob)) {
-        core::FusedAutomaton automaton(blob);
-        std::vector<std::vector<size_t>> occurrences;
-        automaton.Scan("<span class=\"f1\">x</span><li>y</li>", &occurrences);
-      }
+      site_names.emplace_back(site->name());
       for (size_t e = 0; e < site->entry_count(); ++e) {
         auto entry = site->entry(e);
         if (!entry.has_value()) continue;
         (void)entry->attribute();
         (void)entry->record();
-        auto plan = entry->CompilePlan();
-        if (plan != nullptr && plan->dom_free()) {
-          core::StreamPageBuffer buffer;
-          std::vector<std::string_view> values;
-          plan->ExtractStreaming("<b>page</b>", buffer, &values);
-        }
       }
     }
     (void)(*pack)->FindEntry("site_000001", "attr_00");
     (void)(*pack)->Verify();
+
+    // And through everything serving builds on them: corrupt records
+    // that still deserialize are compiled, fused by AcBuilder and run.
+    serve::WrapperRepository repository(
+        serve::WrapperRepository::Options{std::string(), corrupt_path});
+    ASSERT_TRUE(repository.Load().ok());
+    serve::ExtractService service(&repository, &pool);
+    serve::ExtractService per_attribute(&repository, &pool, fused_off);
+    auto pin = repository.Pin();
+    ASSERT_NE(pin->pack, nullptr);
+    for (const std::string& site : site_names) {
+      (void)pin->Find(site, "attr_00");
+      auto entries = pin->MaterializeSite(site);
+      for (const auto& [attribute, entry] : entries) {
+        EXPECT_EQ(pin->Find(site, attribute), entry);
+      }
+      std::string page = "<span class=\"f1\">x</span><li>y</li>";
+      if (auto fused = pin->FindFused(site)) {
+        for (const auto& attribute : fused->attributes()) {
+          const auto& plan = *attribute.plan;
+          page += plan.head() + plan.left() + "v" + plan.right() + plan.tail();
+        }
+      }
+      serve::HttpRequest request;
+      request.method = "POST";
+      request.path = "/extract";
+      request.query = {{"site", site}, {"attribute", "*"}};
+      request.body = page;
+      serve::HttpResponse response = service.Handle(request);
+      EXPECT_TRUE(response.status == 200 || response.status == 400 ||
+                  response.status == 404)
+          << response.status << ": " << response.body;
+      // Corrupt or not, the fused scan answers as the per-attribute path.
+      serve::HttpResponse reference = per_attribute.Handle(request);
+      EXPECT_EQ(response.status, reference.status);
+      EXPECT_EQ(response.body, reference.body);
+    }
   }
 }
 

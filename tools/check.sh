@@ -73,7 +73,13 @@ rm -rf "$PACK_DIR"
       --sites 200 --attrs 3 --seed 7 &&
   "$ROOT/build/tools/ntw_pack" build --root "$PACK_DIR/repo" \
       --out "$PACK_DIR/wrappers.pack" &&
-  "$ROOT/build/tools/ntw_pack" verify "$PACK_DIR/wrappers.pack"; } || {
+  "$ROOT/build/tools/ntw_pack" verify "$PACK_DIR/wrappers.pack" &&
+  "$ROOT/build/tools/ntw_pack" inspect "$PACK_DIR/wrappers.pack" |
+      grep -q '"pack_version":2' &&
+  sh "$ROOT/tools/flip_byte.sh" "$PACK_DIR/wrappers.pack" \
+      "$PACK_DIR/flipped.pack" &&
+  ! "$ROOT/build/tools/ntw_pack" verify "$PACK_DIR/flipped.pack" \
+      2> /dev/null; } || {
   echo "check.sh: wrapper pack roundtrip FAILED" >&2
   FAILED=1
 }

@@ -6,19 +6,19 @@
 //   ntw_pack verify PACK
 //
 // `build` walks a `<root>/<site>/<attribute>.wrapper` repository tree and
-// serializes it into one memory-mappable pack file: interned strings,
-// fixed-layout compiled plans, sorted per-site directory, and one fused
-// multi-pattern delimiter automaton per site. The output is a pure
-// function of the (site, attribute, record) set — rebuilding from the
-// same tree is bit-identical, which `verify` exploits.
+// serializes it into one memory-mappable pack file: a sorted site
+// directory, a sorted entry directory and an interned string table of
+// attribute names and wrapper records. Plans and fused automata are not
+// stored; the repository rebuilds them from the records. The output is a
+// pure function of the (site, attribute, record) set — rebuilding from
+// the same tree is bit-identical, which `verify` exploits.
 //
 // `inspect` prints a JSON summary of the header (and one site's entries
 // with --site) without touching more pages than asked for.
 //
-// `verify` runs the full offline check: body checksum, directory
-// sortedness and bounds, every record parsed, every plan blob decoded and
-// cross-checked against its record, every automaton validated — the
-// integrity gate CI runs after every build.
+// `verify` runs the full offline check: body checksum, every record
+// parsed, and a rebuild from those records that must match the file bit
+// for bit — the integrity gate CI runs after every build.
 
 #include <cstdio>
 #include <filesystem>
@@ -26,7 +26,9 @@
 #include "common/file_util.h"
 #include "common/flags.h"
 #include "common/obs_export.h"
+#include "core/compiled_wrapper.h"
 #include "core/wrapper_pack.h"
+#include "core/wrapper_store.h"
 #include "obs/json.h"
 
 namespace {
@@ -40,14 +42,14 @@ constexpr char kUsage[] =
 
 constexpr char kSuffix[] = ".wrapper";
 
-const char* PlanKindName(uint32_t kind) {
-  switch (kind) {
-    case core::kPackPlanXPath: return "xpath";
-    case core::kPackPlanLr: return "lr";
-    case core::kPackPlanHlrt: return "hlrt";
-    case core::kPackPlanNone: return "none";
-    default: return "unknown";
-  }
+// The plan kind a record compiles to: "xpath", "lr", "hlrt", or "none"
+// when it has no compiled form or does not parse.
+const char* PlanKindName(std::string_view record) {
+  Result<core::WrapperPtr> wrapper =
+      core::DeserializeWrapper(std::string(record));
+  if (!wrapper.ok()) return "none";
+  auto plan = core::CompiledWrapper::Compile(**wrapper);
+  return plan == nullptr ? "none" : plan->plan_kind();
 }
 
 int Build(const Flags& flags) {
@@ -112,18 +114,16 @@ int Inspect(const Flags& flags, const std::string& path) {
   }
   const core::PackHeader& header = (*pack)->header();
   obs::JsonWriter json;
-  BeginSchemaDocument(json, "ntw-pack-inspect", 2);
+  BeginSchemaDocument(json, "ntw-pack-inspect", 3);
   json.KV("path", path);
   json.KV("pack_version", static_cast<int64_t>(header.version));
   json.KV("file_size", static_cast<int64_t>(header.file_size));
   json.KV("sites", static_cast<int64_t>(header.site_count));
   json.KV("entries", static_cast<int64_t>(header.entry_count));
-  json.KV("plans_bytes", static_cast<int64_t>(header.plans_len));
-  json.KV("automata_bytes", static_cast<int64_t>(header.automata_len));
   json.KV("strtab_bytes", static_cast<int64_t>(header.strtab_len));
-  // Per-section byte breakdown: where a compression pass would pay. The
-  // directories are fixed-width records, so their sizes follow from the
-  // counts; "other" is whatever remains (alignment padding).
+  // Per-section byte breakdown. The directories are fixed-width records,
+  // so their sizes follow from the counts; "other" is whatever remains
+  // (0 for a pack ntw_pack built).
   {
     int64_t header_bytes = static_cast<int64_t>(sizeof(core::PackHeader));
     int64_t site_dir_bytes = static_cast<int64_t>(header.site_count *
@@ -131,8 +131,6 @@ int Inspect(const Flags& flags, const std::string& path) {
     int64_t entry_dir_bytes = static_cast<int64_t>(
         header.entry_count * sizeof(core::PackEntryRec));
     int64_t accounted = header_bytes + site_dir_bytes + entry_dir_bytes +
-                        static_cast<int64_t>(header.plans_len) +
-                        static_cast<int64_t>(header.automata_len) +
                         static_cast<int64_t>(header.strtab_len);
     int64_t other = static_cast<int64_t>(header.file_size) - accounted;
     double scale =
@@ -148,8 +146,6 @@ int Inspect(const Flags& flags, const std::string& path) {
          {Section{"header", header_bytes},
           Section{"site_directory", site_dir_bytes},
           Section{"entry_directory", entry_dir_bytes},
-          Section{"plans", static_cast<int64_t>(header.plans_len)},
-          Section{"automata", static_cast<int64_t>(header.automata_len)},
           Section{"string_table", static_cast<int64_t>(header.strtab_len)},
           Section{"other", other}}) {
       json.Key(section.name);
@@ -169,8 +165,6 @@ int Inspect(const Flags& flags, const std::string& path) {
       return 1;
     }
     json.KV("site", name);
-    json.KV("automaton_bytes",
-            static_cast<int64_t>(site->automaton().size()));
     json.Key("site_entries");
     json.BeginArray();
     for (size_t i = 0; i < site->entry_count(); ++i) {
@@ -178,7 +172,7 @@ int Inspect(const Flags& flags, const std::string& path) {
       if (!entry.has_value()) continue;
       json.BeginObject();
       json.KV("attribute", entry->attribute());
-      json.KV("plan_kind", PlanKindName(entry->plan_kind()));
+      json.KV("plan_kind", PlanKindName(entry->record()));
       json.KV("record", entry->record());
       json.EndObject();
     }

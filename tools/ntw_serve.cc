@@ -30,16 +30,18 @@
 // detector state.
 //
 // --pack FILE opens a memory-mapped wrapper pack (DESIGN.md §15) instead
-// of eagerly parsing the directory: startup is O(mmap), cold sites page
-// in on first hit. --wrapper-dir then becomes the overlay directory that
-// self-heal publishes land in (and may be omitted for read-only serving).
+// of eagerly parsing the directory: startup is O(mmap), and a cold
+// site's records are parsed and compiled on its first hit. --wrapper-dir
+// then becomes the overlay directory that self-heal publishes land in
+// (and may be omitted for read-only serving).
 // A pack that fails to open logs a warning and serving falls back to the
 // directory backend.
 //
 // Endpoints (see DESIGN.md §8):
 //   POST /extract?site=S&attribute=A        body = one HTML page
-//     (attribute=* extracts every attribute of the site; with --pack the
-//      site's fused automaton scans the page once — --no-fused disables)
+//     (attribute=* extracts every attribute of the site; a site with two
+//      or more LR/HLRT wrappers is scanned once by a fused automaton,
+//      built on the site's first such request — --no-fused disables)
 //   POST /extract_batch?site=S&attribute=A  body = NDJSON {"id","html"}
 //   GET  /metrics                           obs registry dump
 //   GET  /healthz
