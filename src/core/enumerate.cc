@@ -4,7 +4,6 @@
 #include <map>
 #include <queue>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -43,32 +42,54 @@ struct EnumMetrics {
   }
 };
 
+/// Hashes a NodeSet by its Fingerprint(); equality is the set's own.
+struct NodeSetHash {
+  size_t operator()(const NodeSet& set) const { return set.Fingerprint(); }
+};
+
 /// Deduplicates candidates by extraction output. Two wrappers are the same
 /// element of W(L) iff they extract the same node set (Sec. 6: a wrapper's
-/// identity is its output).
+/// identity is its output). Candidates are hashed by the fingerprint their
+/// Induction carries and compared by extraction, so two distinct sets with
+/// one fingerprint are both kept.
 class CandidateCollector {
  public:
+  CandidateCollector() = default;
+  // distinct_'s functors point at this object's candidates_.
+  CandidateCollector(const CandidateCollector&) = delete;
+  CandidateCollector& operator=(const CandidateCollector&) = delete;
+
+  /// `induction` must come from InstrumentedInduce (its fingerprint set).
   void Add(Induction induction, const NodeSet& trained_on) {
     if (induction.extraction.empty()) return;  // φ(∅)-like results.
-    uint64_t fp = induction.extraction.Fingerprint();
-    auto [it, inserted] = by_fingerprint_.emplace(fp, candidates_.size());
-    if (!inserted) {
-      // Fingerprint collision check: compare actual sets.
-      if (candidates_[it->second].extraction == induction.extraction) return;
-      // Genuine collision (vanishingly rare): fall through and keep both.
+    candidates_.push_back(Candidate{std::move(induction.wrapper),
+                                    std::move(induction.extraction),
+                                    NodeSet(), induction.fingerprint});
+    if (distinct_.insert(candidates_.size() - 1).second) {
+      candidates_.back().trained_on = trained_on;
+    } else {
+      candidates_.pop_back();
     }
-    Candidate c;
-    c.wrapper = std::move(induction.wrapper);
-    c.extraction = std::move(induction.extraction);
-    c.trained_on = trained_on;
-    candidates_.push_back(std::move(c));
   }
 
   std::vector<Candidate> Take() { return std::move(candidates_); }
 
  private:
-  std::unordered_map<uint64_t, size_t> by_fingerprint_;
+  /// Hash and equality over indices into candidates_.
+  struct ByFingerprint {
+    const std::vector<Candidate>* candidates;
+    size_t operator()(size_t i) const { return (*candidates)[i].fingerprint; }
+  };
+  struct SameExtraction {
+    const std::vector<Candidate>* candidates;
+    bool operator()(size_t a, size_t b) const {
+      return (*candidates)[a].extraction == (*candidates)[b].extraction;
+    }
+  };
+
   std::vector<Candidate> candidates_;
+  std::unordered_set<size_t, ByFingerprint, SameExtraction> distinct_{
+      0, ByFingerprint{&candidates_}, SameExtraction{&candidates_}};
 };
 
 }  // namespace
@@ -208,37 +229,34 @@ WrapperSpace EnumerateTopDown(const FeatureBasedInductor& inductor,
 
   // Z starts as {L}; each attribute subdivides every set currently in Z
   // (Algorithm 2). Sets created while processing attribute a are constant
-  // on a, so the per-attribute snapshot loop is sufficient.
-  std::vector<NodeSet> z = {labels};
-  std::unordered_set<uint64_t> seen = {labels.Fingerprint()};
+  // on a, so the per-attribute snapshot loop is sufficient. The sets live
+  // in `seen` (whose elements never move); Z lists them in discovery
+  // order.
+  std::unordered_set<NodeSet, NodeSetHash> seen = {labels};
+  std::vector<const NodeSet*> z = {&*seen.begin()};
 
   std::vector<AttrHandle> attrs = inductor.Attributes(pages, labels);
   for (AttrHandle attr : attrs) {
     size_t snapshot_size = z.size();
     for (size_t i = 0; i < snapshot_size; ++i) {
-      // Note: Subdivide may not be called on z[i] by reference while z
-      // grows; copy the set first.
-      NodeSet s = z[i];
-      for (NodeSet& group : inductor.Subdivide(pages, s, attr)) {
+      for (NodeSet& group : inductor.Subdivide(pages, *z[i], attr)) {
         if (group.empty()) continue;
-        uint64_t fp = group.Fingerprint();
-        if (seen.insert(fp).second) {
-          z.push_back(std::move(group));
-        }
+        auto [it, inserted] = seen.insert(std::move(group));
+        if (inserted) z.push_back(&*it);
       }
     }
   }
 
-  // Final induction pass: every set in Z is fingerprint-distinct, so the
-  // calls are independent — induce them in parallel and merge in Z order
+  // Final induction pass: every set in Z is distinct, so the calls are
+  // independent — induce them in parallel and merge in Z order
   // (byte-identical to the serial loop).
   CandidateCollector collector;
   std::vector<Induction> inductions(z.size());
   ThreadPool::Global().ParallelFor(z.size(), [&](size_t i) {
-    inductions[i] = InstrumentedInduce(inductor, pages, z[i]);
+    inductions[i] = InstrumentedInduce(inductor, pages, *z[i]);
   });
   for (size_t i = 0; i < z.size(); ++i) {
-    collector.Add(std::move(inductions[i]), z[i]);
+    collector.Add(std::move(inductions[i]), *z[i]);
     ++space.inductor_calls;
   }
   space.cache_misses = space.inductor_calls;

@@ -16,6 +16,7 @@ struct Candidate {
   WrapperPtr wrapper;
   NodeSet extraction;
   NodeSet trained_on;
+  uint64_t fingerprint = 0;  // extraction.Fingerprint().
 };
 
 /// The wrapper space W(L) = {φ(L') : ∅ ≠ L' ⊆ L}, deduplicated by

@@ -33,6 +33,7 @@ Induction InstrumentedInduce(const WrapperInductor& inductor,
   calls->Add(1);
   auto start = std::chrono::steady_clock::now();
   Induction induction = inductor.Induce(pages, labels);
+  induction.fingerprint = induction.extraction.Fingerprint();
   latency->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count());

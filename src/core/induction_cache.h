@@ -16,8 +16,10 @@ namespace ntw::core {
 /// "induce" trace span, the `ntw.induce.calls` counter and the
 /// `ntw.induce.ns` latency histogram. Every real inductor invocation the
 /// enumeration engines make routes through here, so the Figure-2 call
-/// accounting is also visible in the metrics registry. Pure pass-through
-/// otherwise — the returned Induction is exactly `inductor.Induce(...)`.
+/// accounting is also visible in the metrics registry. The returned
+/// Induction is exactly `inductor.Induce(...)` with its `fingerprint` set;
+/// computing it here keeps the hash in the caller's parallel phase, and
+/// an InductionCache hit replays it with the rest of the result.
 Induction InstrumentedInduce(const WrapperInductor& inductor,
                              const PageSet& pages, const NodeSet& labels);
 

@@ -96,6 +96,8 @@ class NodeSet {
 /// page set (e.g. LrInductor's flattened views) can detect that an address
 /// now belongs to a different object — address + shape alone cannot, since
 /// a recreated page set often has both in common with its predecessor.
+/// AddPage() renews the id too: a grown page set is a different one to
+/// every such cache.
 class PageSet {
  public:
   PageSet() : id_(NextId()) {}
@@ -110,9 +112,13 @@ class PageSet {
     return *this;
   }
 
-  void AddPage(html::Document page) { pages_.push_back(std::move(page)); }
+  void AddPage(html::Document page) {
+    pages_.push_back(std::move(page));
+    id_ = NextId();
+  }
 
-  /// Unique across all PageSet instances ever constructed (moves renew it).
+  /// Unique across all PageSet instances ever constructed; moves and
+  /// AddPage() renew it.
   uint64_t id() const { return id_; }
 
   size_t size() const { return pages_.size(); }

@@ -1,6 +1,7 @@
 #include "core/lr_inductor.h"
 
 #include <map>
+#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -43,21 +44,34 @@ std::string LrWrapper::ToString() const {
   return "LR(l='" + Abbrev(left_) + "', r='" + Abbrev(right_) + "')";
 }
 
-const std::vector<text::CharView>& LrInductor::Views(const PageSet& pages) {
-  struct ViewCache {
-    uint64_t id = 0;  // PageSet ids start at 1, so 0 never matches.
-    std::vector<text::CharView> views;
-  };
-  thread_local ViewCache cache;
+struct LrInductor::PageCache {
+  uint64_t id = 0;  // PageSet ids start at 1, so 0 never matches.
+  std::vector<text::CharView> views;
+  /// Keyed by ScanKey(l, r).
+  std::unordered_map<std::string, NodeSet> scans;
+
+  static std::string ScanKey(const std::string& l, const std::string& r) {
+    // The length prefix keeps ("ab", "c") and ("a", "bc") apart.
+    std::string key = std::to_string(l.size());
+    key += ':';
+    key += l;
+    key += r;
+    return key;
+  }
+};
+
+LrInductor::PageCache& LrInductor::CacheFor(const PageSet& pages) {
+  thread_local PageCache cache;
   if (cache.id != pages.id()) {
     cache.views.clear();
+    cache.scans.clear();
     cache.views.reserve(pages.size());
     for (size_t p = 0; p < pages.size(); ++p) {
       cache.views.emplace_back(pages.page(p));
     }
     cache.id = pages.id();
   }
-  return cache.views;
+  return cache;
 }
 
 Induction LrInductor::Induce(const PageSet& pages,
@@ -67,7 +81,8 @@ Induction LrInductor::Induce(const PageSet& pages,
     result.wrapper = std::make_shared<EmptyLrWrapper>();
     return result;
   }
-  const auto& views = Views(pages);
+  PageCache& cache = CacheFor(pages);
+  const std::vector<text::CharView>& views = cache.views;
 
   std::vector<std::string_view> befores;
   std::vector<std::string_view> afters;
@@ -89,31 +104,36 @@ Induction LrInductor::Induce(const PageSet& pages,
   }
   auto wrapper = std::make_shared<LrWrapper>(
       text::LongestCommonSuffix(befores), text::LongestCommonPrefix(afters));
-  // Extraction over the cached views (avoids re-flattening every page).
-  std::vector<NodeRef> out;
-  for (size_t p = 0; p < pages.size(); ++p) {
-    const text::CharView& view = views[p];
-    const std::string& l = wrapper->left();
-    const std::string& r = wrapper->right();
-    for (const text::TextSpan& span : view.spans()) {
-      std::string_view before = view.Before(span, l.size());
-      std::string_view after = view.After(span, r.size());
-      if (before.size() == l.size() && before == l &&
-          after.size() == r.size() && after == r) {
-        out.push_back(NodeRef{static_cast<int>(p),
-                              span.node->preorder_index()});
+  const std::string& l = wrapper->left();
+  const std::string& r = wrapper->right();
+  auto [scan, inserted] =
+      cache.scans.try_emplace(PageCache::ScanKey(l, r));
+  if (inserted) {
+    // Extraction over the cached views (avoids re-flattening every page).
+    std::vector<NodeRef> out;
+    for (size_t p = 0; p < views.size(); ++p) {
+      const text::CharView& view = views[p];
+      for (const text::TextSpan& span : view.spans()) {
+        std::string_view before = view.Before(span, l.size());
+        std::string_view after = view.After(span, r.size());
+        if (before.size() == l.size() && before == l &&
+            after.size() == r.size() && after == r) {
+          out.push_back(NodeRef{static_cast<int>(p),
+                                span.node->preorder_index()});
+        }
       }
     }
+    scan->second = NodeSet(std::move(out));
   }
+  result.extraction = scan->second.Union(labels);
   result.wrapper = std::move(wrapper);
-  result.extraction = NodeSet(std::move(out)).Union(labels);
   return result;
 }
 
 std::vector<AttrHandle> LrInductor::Attributes(const PageSet& pages,
                                                const NodeSet& labels) const {
   if (labels.empty()) return {};
-  const auto& views = Views(pages);
+  const auto& views = CacheFor(pages).views;
 
   // Attributes are L1..Lk* / R1..Rk*, encoded as (k << 1) | side. k* is
   // the first length at which the label partition by k-character context
@@ -168,7 +188,7 @@ std::vector<AttrHandle> LrInductor::Attributes(const PageSet& pages,
 std::vector<NodeSet> LrInductor::Subdivide(const PageSet& pages,
                                            const NodeSet& s,
                                            AttrHandle attr) const {
-  const auto& views = Views(pages);
+  const auto& views = CacheFor(pages).views;
   size_t k = static_cast<size_t>(attr) >> 1;
   bool left = (attr & 1) == 0;
 

@@ -40,15 +40,23 @@ class LrInductor : public FeatureBasedInductor {
   size_t max_context() const { return max_context_; }
 
  private:
-  /// Per-PageSet flattened views, built lazily and cached per *thread*
-  /// (the enumeration engine calls Induce from pool workers; a
-  /// thread-local cache needs no locking and each worker amortizes the
-  /// flattening across its share of the subsets). The cache is validated
-  /// by PageSet::id(), which is unique per instance lifetime, so a
-  /// recreated page set reusing a freed address can never be served stale
-  /// views. The returned reference is valid until the same thread calls
-  /// Views() with a different PageSet.
-  static const std::vector<text::CharView>& Views(const PageSet& pages);
+  /// Per-PageSet state, built lazily and cached per *thread* (the
+  /// enumeration engine calls Induce from pool workers; a thread-local
+  /// cache needs no locking and each worker amortizes it across its share
+  /// of the subsets):
+  ///   views  the flattened CharView of every page;
+  ///   scans  Induce's span scan memoized by the learned (l, r) rule. The
+  ///          scan is a pure function of the views and the rule, and many
+  ///          label subsets learn the same rule (BottomUp makes ~10 calls
+  ///          per distinct rule).
+  /// Both are valid exactly as long as the views are: the cache is keyed
+  /// by PageSet::id(), which is unique per instance lifetime and renewed
+  /// by AddPage(), and is rebuilt whole when the id changes, so a recreated
+  /// or grown page set is never served stale views or scans. The returned
+  /// reference is valid until the same thread calls CacheFor() with a
+  /// different PageSet.
+  struct PageCache;
+  static PageCache& CacheFor(const PageSet& pages);
 
   size_t max_context_;
 };

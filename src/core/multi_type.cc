@@ -177,7 +177,9 @@ Result<MultiTypeOutcome> LearnMultiTypeNtw(
     }
   }
 
-  // Joint ranking over the cross product.
+  // Joint ranking over the cross product, segmenting every combination
+  // from one flattening of the pages.
+  const FlattenedPages flat(pages);
   std::vector<size_t> pick(num_types, 0);
   MultiTypeOutcome best;
   best.score = -std::numeric_limits<double>::infinity();
@@ -208,7 +210,7 @@ Result<MultiTypeOutcome> LearnMultiTypeNtw(
       std::vector<const NodeSet*> typed_ptrs;
       for (const NodeSet& ns : typed_nodes) typed_ptrs.push_back(&ns);
       ListFeatures features =
-          ComputeListFeatures(SegmentRecords(pages, typed_ptrs));
+          ComputeListFeatures(flat.SegmentRecords(typed_ptrs));
       double score = annotation_score + publication_model.LogProb(features);
       // Penalize combinations that fail on pages: each failed page voids
       // its records, which the annotation term already partially reflects,

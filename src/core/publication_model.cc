@@ -1,6 +1,8 @@
 #include "core/publication_model.h"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 #include <unordered_map>
 
 #include "align/edit_distance.h"
@@ -9,34 +11,6 @@ namespace ntw::core {
 namespace {
 
 constexpr int kTextToken = 0;
-
-/// Flattens one page to pre-order tokens, recording the token position of
-/// every text node (by pre-order index).
-void FlattenPage(const html::Document& doc,
-                 std::unordered_map<std::string, int>* tag_ids,
-                 std::vector<int>* tokens,
-                 std::vector<std::pair<int, size_t>>* text_positions) {
-  struct Frame {
-    const html::Node* node;
-  };
-  std::vector<Frame> stack = {{doc.root()}};
-  while (!stack.empty()) {
-    const html::Node* node = stack.back().node;
-    stack.pop_back();
-    if (node->is_text()) {
-      text_positions->emplace_back(node->preorder_index(), tokens->size());
-      tokens->push_back(kTextToken);
-    } else if (node->is_element()) {
-      auto [it, inserted] =
-          tag_ids->emplace(node->tag(),
-                           static_cast<int>(tag_ids->size()) + 1);
-      tokens->push_back(it->second);
-    }
-    for (size_t i = node->children().size(); i > 0; --i) {
-      stack.push_back({node->children()[i - 1].get()});
-    }
-  }
-}
 
 /// Deterministic pair sample over `n` segments: everything for small n,
 /// adjacent + strided pairs for large n, capped.
@@ -70,45 +44,85 @@ std::vector<std::pair<size_t, size_t>> SamplePairs(size_t n) {
 
 }  // namespace
 
-std::vector<Segment> SegmentRecords(
-    const PageSet& pages, const std::vector<const NodeSet*>& typed_sets) {
+FlattenedPages::FlattenedPages(const PageSet& pages) {
+  std::unordered_map<std::string_view, int> tag_ids;
+  pages_.resize(pages.size());
+  for (size_t p = 0; p < pages.size(); ++p) {
+    const html::Document& doc = pages.page(p);
+    Page& page = pages_[p];
+    page.text_position.assign(doc.node_count(), -1);
+    // The node table is in pre-order, the order records are read in.
+    for (size_t i = 0; i < doc.node_count(); ++i) {
+      const html::Node* node = doc.node(static_cast<int>(i));
+      if (node->is_text()) {
+        page.text_position[i] = static_cast<int>(page.tokens.size());
+        page.tokens.push_back(kTextToken);
+      } else if (node->is_element()) {
+        auto [it, inserted] = tag_ids.emplace(
+            node->tag(), static_cast<int>(tag_ids.size()) + 1);
+        page.tokens.push_back(it->second);
+      }
+    }
+  }
+}
+
+std::vector<size_t> FlattenedPages::TextPositions(const NodeSet& set,
+                                                  size_t p) const {
+  const std::vector<int>& text_position = pages_[p].text_position;
+  std::vector<size_t> positions;
+  const int page = static_cast<int>(p);
+  for (auto it = std::lower_bound(
+           set.begin(), set.end(),
+           NodeRef{page, std::numeric_limits<int>::min()});
+       it != set.end() && it->page == page; ++it) {
+    if (it->node >= 0 &&
+        static_cast<size_t>(it->node) < text_position.size() &&
+        text_position[static_cast<size_t>(it->node)] >= 0) {
+      positions.push_back(
+          static_cast<size_t>(text_position[static_cast<size_t>(it->node)]));
+    }
+  }
+  return positions;
+}
+
+std::vector<Segment> FlattenedPages::SegmentRecords(
+    const std::vector<const NodeSet*>& typed_sets) const {
   std::vector<Segment> segments;
   if (typed_sets.empty() || typed_sets[0] == nullptr) return segments;
-  const NodeSet& boundary = *typed_sets[0];
 
-  std::unordered_map<std::string, int> tag_ids;
-  for (size_t p = 0; p < pages.size(); ++p) {
-    std::vector<int> tokens;
-    std::vector<std::pair<int, size_t>> text_positions;
-    FlattenPage(pages.page(p), &tag_ids, &tokens, &text_positions);
+  for (size_t p = 0; p < pages_.size(); ++p) {
+    std::vector<size_t> boundaries = TextPositions(*typed_sets[0], p);
+    if (boundaries.size() < 2) continue;
 
     // Re-token text nodes that belong to a typed set (type t gets −(t+1)),
-    // so records must align their typed items (Appendix A ranking).
-    std::vector<size_t> boundary_positions;
-    for (const auto& [preorder, pos] : text_positions) {
-      NodeRef ref{static_cast<int>(p), preorder};
-      for (size_t t = 0; t < typed_sets.size(); ++t) {
-        if (typed_sets[t] != nullptr && typed_sets[t]->Contains(ref)) {
-          tokens[pos] = -static_cast<int>(t) - 1;
-          break;
-        }
+    // so records must align their typed items (Appendix A ranking). Types
+    // are applied highest first so the lowest type a node is in wins.
+    std::vector<int> tokens = pages_[p].tokens;
+    for (size_t t = typed_sets.size(); t-- > 0;) {
+      if (typed_sets[t] == nullptr) continue;
+      for (size_t pos : TextPositions(*typed_sets[t], p)) {
+        tokens[pos] = -static_cast<int>(t) - 1;
       }
-      if (boundary.Contains(ref)) boundary_positions.push_back(pos);
     }
 
     // Segments between consecutive boundary nodes (pre-order traversal
     // from one element of X to the next, Sec. 6 / Fig. 7).
-    for (size_t b = 0; b + 1 < boundary_positions.size(); ++b) {
+    for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
       segments.emplace_back(
-          tokens.begin() + static_cast<long>(boundary_positions[b]),
-          tokens.begin() + static_cast<long>(boundary_positions[b + 1]));
+          tokens.begin() + static_cast<long>(boundaries[b]),
+          tokens.begin() + static_cast<long>(boundaries[b + 1]));
     }
   }
   return segments;
 }
 
+std::vector<Segment> SegmentRecords(
+    const PageSet& pages, const std::vector<const NodeSet*>& typed_sets) {
+  return FlattenedPages(pages).SegmentRecords(typed_sets);
+}
+
 std::vector<Segment> SegmentRecords(const PageSet& pages, const NodeSet& x) {
-  return SegmentRecords(pages, {&x});
+  return FlattenedPages(pages).SegmentRecords(x);
 }
 
 ListFeatures ComputeListFeatures(const std::vector<Segment>& segments,

@@ -17,12 +17,44 @@ namespace ntw::core {
 /// One record segment: interned structural tokens (tag names and #text).
 using Segment = std::vector<int>;
 
-/// Extracts record segments for X over the pages. Token ids: 0 is #text;
-/// tags are interned per call; text nodes belonging to `typed_sets[t]` get
-/// the distinct token -(t+1) so multi-type alignment (Appendix A) can
-/// require type positions to match. Segmentation boundaries come from
-/// typed_sets[0]. Pages with fewer than two boundary nodes contribute no
-/// segments.
+/// A page set flattened once to its pre-order structural tokens, so that
+/// many candidate extractions over the same pages can be segmented
+/// without re-walking the DOMs. Token ids: 0 is #text; tags are interned
+/// in page order, then pre-order, starting at 1. Holds no reference to
+/// the pages it was built from.
+class FlattenedPages {
+ public:
+  explicit FlattenedPages(const PageSet& pages);
+
+  /// Extracts record segments for X. Text nodes belonging to
+  /// `typed_sets[t]` get the distinct token -(t+1) (the lowest t wins) so
+  /// multi-type alignment (Appendix A) can require type positions to
+  /// match. Segmentation boundaries come from typed_sets[0]. Pages with
+  /// fewer than two boundary nodes contribute no segments; references to
+  /// non-text nodes or outside the pages are ignored.
+  std::vector<Segment> SegmentRecords(
+      const std::vector<const NodeSet*>& typed_sets) const;
+
+  /// Single-type form.
+  std::vector<Segment> SegmentRecords(const NodeSet& x) const {
+    return SegmentRecords(std::vector<const NodeSet*>{&x});
+  }
+
+ private:
+  struct Page {
+    std::vector<int> tokens;
+    /// Token position of each text node by pre-order index; -1 for other
+    /// nodes.
+    std::vector<int> text_position;
+  };
+
+  /// Token positions on page `p` of the text nodes in `set`, ascending.
+  std::vector<size_t> TextPositions(const NodeSet& set, size_t p) const;
+
+  std::vector<Page> pages_;
+};
+
+/// FlattenedPages(pages).SegmentRecords(typed_sets), for one-off use.
 std::vector<Segment> SegmentRecords(const PageSet& pages,
                                     const std::vector<const NodeSet*>& typed_sets);
 

@@ -32,14 +32,17 @@ std::vector<ScoredCandidate> Ranker::Rank(const WrapperSpace& space,
   candidates->Add(static_cast<int64_t>(space.candidates.size()));
   // Candidate scores are independent; compute them in parallel into
   // per-index slots (deterministic: identical doubles at any thread
-  // count), then sort serially.
+  // count), then sort serially. Every candidate is segmented from one
+  // flattening of the pages.
+  const FlattenedPages flat(pages);
   std::vector<ScoredCandidate> scored(space.candidates.size());
   ThreadPool::Global().ParallelFor(space.candidates.size(), [&](size_t i) {
     const Candidate& candidate = space.candidates[i];
     ScoredCandidate& sc = scored[i];
     sc.candidate_index = i;
     sc.log_annotation = annotation_.LogProb(labels, candidate.extraction);
-    sc.log_list = publication_.LogProb(pages, candidate.extraction);
+    sc.log_list = publication_.LogProb(
+        ComputeListFeatures(flat.SegmentRecords(candidate.extraction)));
     switch (variant_) {
       case RankerVariant::kFull:
         sc.total = sc.log_annotation + sc.log_list;
@@ -64,10 +67,8 @@ std::vector<ScoredCandidate> Ranker::Rank(const WrapperSpace& space,
         // by content fingerprint — deterministic but neutral, so a
         // variant cannot systematically luck into the right column via
         // enumeration order.
-        uint64_t fp_a = space.candidates[a.candidate_index].extraction
-                            .Fingerprint();
-        uint64_t fp_b = space.candidates[b.candidate_index].extraction
-                            .Fingerprint();
+        uint64_t fp_a = space.candidates[a.candidate_index].fingerprint;
+        uint64_t fp_b = space.candidates[b.candidate_index].fingerprint;
         if (fp_a != fp_b) return fp_a < fp_b;
         return a.candidate_index < b.candidate_index;
       });

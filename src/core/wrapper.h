@@ -34,6 +34,11 @@ using WrapperPtr = std::shared_ptr<const Wrapper>;
 struct Induction {
   WrapperPtr wrapper;
   NodeSet extraction;
+  /// extraction.Fingerprint(), filled in by InstrumentedInduce — the call
+  /// every enumeration engine makes from its parallel phase — so the
+  /// serial merge and the ranker never hash a set again. 0 when the
+  /// inductor was called directly.
+  uint64_t fingerprint = 0;
 };
 
 /// A supervised wrapper induction algorithm φ, used as a black box by the

@@ -64,6 +64,59 @@ void AddClassShorthand(char c, std::bitset<256>* set) {
 
 bool IsWordChar(char c) { return IsAsciiAlnum(c) || c == '_'; }
 
+/// How a node's matches can begin: the bytes its first consumed character
+/// can be, and whether it can match while consuming nothing. Anchors and
+/// \b count as empty matches (they may fail, but never consume), so both
+/// are over-approximations — safe for skipping start offsets.
+struct StartSet {
+  std::bitset<256> first;
+  bool nullable = false;
+};
+
+StartSet StartOf(const Node* node) {
+  StartSet out;
+  switch (node->kind) {
+    case Kind::kCharClass:
+      out.first = node->chars;
+      break;
+    case Kind::kAnchorBegin:
+    case Kind::kAnchorEnd:
+    case Kind::kWordBoundary:
+      out.nullable = true;
+      break;
+    case Kind::kAlternation:
+      for (const auto& child : node->children) {
+        StartSet alt = StartOf(child.get());
+        out.first |= alt.first;
+        out.nullable = out.nullable || alt.nullable;
+      }
+      break;
+    case Kind::kConcat:
+      // A child's first bytes count while everything before it can be
+      // empty; the sequence is empty only if every child can be.
+      out.nullable = true;
+      for (const auto& child : node->children) {
+        if (!out.nullable) break;
+        StartSet next = StartOf(child.get());
+        out.first |= next.first;
+        out.nullable = next.nullable;
+      }
+      break;
+    case Kind::kRepeat: {
+      // x{0} matches only the empty string.
+      if (node->max == 0) {
+        out.nullable = true;
+        break;
+      }
+      StartSet body = StartOf(node->children[0].get());
+      out.first = body.first;
+      out.nullable = node->min == 0 || body.nullable;
+      break;
+    }
+  }
+  return out;
+}
+
 class PatternParser {
  public:
   explicit PatternParser(std::string_view pattern) : pattern_(pattern) {}
@@ -537,7 +590,11 @@ Regex::Regex(std::string pattern, std::unique_ptr<Node> root,
              std::unique_ptr<Node> anchored_root)
     : pattern_(std::move(pattern)),
       root_(std::move(root)),
-      anchored_root_(std::move(anchored_root)) {}
+      anchored_root_(std::move(anchored_root)) {
+  StartSet start = StartOf(root_.get());
+  first_bytes_ = start.first;
+  nullable_ = start.nullable;
+}
 
 Regex::~Regex() = default;
 Regex::Regex(Regex&&) noexcept = default;
@@ -566,7 +623,9 @@ bool Regex::PartialMatch(std::string_view text) const {
   Matcher matcher(text);
   size_t end = 0;
   for (size_t start = 0; start <= text.size(); ++start) {
-    if (matcher.Match(root_.get(), start, &end)) return true;
+    if (CanStartAt(text, start) && matcher.Match(root_.get(), start, &end)) {
+      return true;
+    }
   }
   return false;
 }
@@ -577,7 +636,7 @@ std::vector<Regex::Span> Regex::FindAll(std::string_view text) const {
   size_t start = 0;
   while (start <= text.size()) {
     size_t end = 0;
-    if (matcher.Match(root_.get(), start, &end)) {
+    if (CanStartAt(text, start) && matcher.Match(root_.get(), start, &end)) {
       spans.push_back(Span{start, end});
       start = end > start ? end : start + 1;
     } else {

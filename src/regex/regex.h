@@ -1,6 +1,7 @@
 #ifndef NTW_REGEX_REGEX_H_
 #define NTW_REGEX_REGEX_H_
 
+#include <bitset>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -24,6 +25,13 @@ namespace ntw::regex {
 /// The engine is a classic recursive backtracker over a parsed AST; it is
 /// deliberately small and has no capture groups — annotators only need
 /// match detection and match spans.
+///
+/// Compile() also derives two facts about the pattern: the set of bytes a
+/// non-empty match can begin with, and whether any match can be empty.
+/// PartialMatch() and FindAll() skip every start offset whose byte cannot
+/// begin a match when the pattern cannot match the empty string. The
+/// backtracker would fail at such an offset anyway, so the matches are
+/// exactly those of trying every offset.
 class Regex {
  public:
   /// Compiles a pattern; ParseError on malformed syntax.
@@ -57,9 +65,18 @@ class Regex {
   Regex(std::string pattern, std::unique_ptr<Node> root,
         std::unique_ptr<Node> anchored_root);
 
+  /// False only where no match can start at `start` (see the class note).
+  bool CanStartAt(std::string_view text, size_t start) const {
+    return nullable_ || (start < text.size() &&
+                         first_bytes_.test(static_cast<unsigned char>(
+                             text[start])));
+  }
+
   std::string pattern_;
   std::unique_ptr<Node> root_;
   std::unique_ptr<Node> anchored_root_;
+  std::bitset<256> first_bytes_;  // Bytes a non-empty match begins with.
+  bool nullable_ = true;          // Some match may consume nothing.
 };
 
 }  // namespace ntw::regex

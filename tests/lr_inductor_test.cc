@@ -1,5 +1,10 @@
 #include "core/lr_inductor.h"
 
+#include <mutex>
+#include <vector>
+
+#include "core/enumerate.h"
+#include "datasets/dealers.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -130,6 +135,83 @@ TEST_F(LrInductorTest, ToStringAbbreviatesLongDelimiters) {
   NodeSet labels({Name("WOODLAND FURNITURE")});
   Induction induction = inductor_.Induce(pages_, labels);
   EXPECT_LE(induction.wrapper->ToString().size(), 120u);
+}
+
+TEST_F(LrInductorTest, AddPageRenewsCachedViewsAndScans) {
+  const std::string record = "<p><u>ACME</u></p><p><u>ZENITH</u></p>";
+  PageSet pages;
+  pages.AddPage(testing::MustParse(record));
+  NodeSet labels(FindText(pages, "ACME"));
+  labels.Insert(FindText(pages, "ZENITH")[0]);
+  Induction before = inductor_.Induce(pages, labels);
+  EXPECT_EQ(before.extraction.size(), 2u);
+
+  // The grown page set must not be served the one-page views or scan.
+  pages.AddPage(testing::MustParse("<div><p><u>ORBIT</u></p></div>"));
+  Induction after = inductor_.Induce(pages, labels);
+  EXPECT_EQ(before.wrapper->ToString(), after.wrapper->ToString());
+  EXPECT_EQ(after.extraction.size(), 3u);
+  EXPECT_TRUE(after.extraction.Contains(FindText(pages, "ORBIT")[0]));
+  EXPECT_EQ(after.extraction, after.wrapper->Extract(pages));
+}
+
+/// Forwards to an inductor and records every label subset it is asked to
+/// induce on.
+class RecordingInductor : public WrapperInductor {
+ public:
+  explicit RecordingInductor(const WrapperInductor* base) : base_(base) {}
+  Induction Induce(const PageSet& pages, const NodeSet& labels) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      subsets_.push_back(labels);
+    }
+    return base_->Induce(pages, labels);
+  }
+  std::string Name() const override { return base_->Name(); }
+  std::vector<NodeSet> subsets() const { return subsets_; }
+
+ private:
+  const WrapperInductor* base_;
+  mutable std::mutex mu_;
+  mutable std::vector<NodeSet> subsets_;
+};
+
+TEST(LrInductorMemoTest, WarmScanMemoMatchesFreshInductor) {
+  datasets::DealersConfig config;
+  config.num_sites = 4;
+  config.pages_per_site = 4;
+  datasets::Dataset dealers = datasets::MakeDealers(config);
+  PageSet evict;  // Inducing here drops this thread's cached scans.
+  evict.AddPage(testing::MustParse("<p>x</p>"));
+  size_t checked = 0;
+  for (const datasets::SiteData& data : dealers.sites) {
+    const NodeSet& labels = data.annotations.at("name");
+    if (labels.empty()) continue;
+    const PageSet& pages = data.site.pages;
+    LrInductor inductor;
+    RecordingInductor recording(&inductor);
+    EnumerateBottomUp(recording, pages, labels);
+    std::vector<NodeSet> subsets = recording.subsets();
+    ASSERT_FALSE(subsets.empty());
+
+    // Warm this thread's memo with every subset, then read every subset
+    // back from it.
+    for (const NodeSet& subset : subsets) inductor.Induce(pages, subset);
+    std::vector<Induction> warm;
+    for (const NodeSet& subset : subsets) {
+      warm.push_back(inductor.Induce(pages, subset));
+    }
+    // Each reference call runs on an empty memo.
+    for (size_t i = 0; i < subsets.size(); ++i) {
+      LrInductor().Induce(evict, evict.AllTextNodes());
+      Induction fresh = LrInductor().Induce(pages, subsets[i]);
+      ASSERT_EQ(warm[i].extraction, fresh.extraction)
+          << data.site.name << " subset " << subsets[i].ToString();
+      ASSERT_EQ(warm[i].wrapper->ToString(), fresh.wrapper->ToString());
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

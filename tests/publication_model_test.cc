@@ -1,5 +1,9 @@
 #include "core/publication_model.h"
 
+#include <unordered_map>
+
+#include "common/rng.h"
+#include "datasets/dealers.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -95,6 +99,108 @@ TEST(SegmentationTest, MultiTypeTokensDistinguished) {
     if (token == -2) saw_typed_street = true;
   }
   EXPECT_TRUE(saw_typed_street);
+}
+
+/// Reference segmentation: walks every DOM again for each call, interning
+/// tags as it goes and testing every text node against every typed set —
+/// the form FlattenedPages replaces.
+std::vector<Segment> SegmentByDomWalk(
+    const PageSet& pages, const std::vector<const NodeSet*>& typed_sets) {
+  std::vector<Segment> segments;
+  if (typed_sets.empty() || typed_sets[0] == nullptr) return segments;
+  std::unordered_map<std::string, int> tag_ids;
+  for (size_t p = 0; p < pages.size(); ++p) {
+    std::vector<int> tokens;
+    std::vector<size_t> boundaries;
+    std::vector<const html::Node*> stack = {pages.page(p).root()};
+    while (!stack.empty()) {
+      const html::Node* node = stack.back();
+      stack.pop_back();
+      if (node->is_text()) {
+        int token = 0;
+        NodeRef ref{static_cast<int>(p), node->preorder_index()};
+        for (size_t t = 0; t < typed_sets.size(); ++t) {
+          if (typed_sets[t] != nullptr && typed_sets[t]->Contains(ref)) {
+            token = -static_cast<int>(t) - 1;
+            break;
+          }
+        }
+        if (typed_sets[0]->Contains(ref)) boundaries.push_back(tokens.size());
+        tokens.push_back(token);
+      } else if (node->is_element()) {
+        auto [it, inserted] = tag_ids.emplace(
+            node->tag(), static_cast<int>(tag_ids.size()) + 1);
+        tokens.push_back(it->second);
+      }
+      for (size_t i = node->children().size(); i > 0; --i) {
+        stack.push_back(node->children()[i - 1].get());
+      }
+    }
+    for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
+      segments.emplace_back(
+          tokens.begin() + static_cast<long>(boundaries[b]),
+          tokens.begin() + static_cast<long>(boundaries[b + 1]));
+    }
+  }
+  return segments;
+}
+
+/// A random node set over `pages`: mostly text nodes, plus element nodes,
+/// references past the last page or node, and negative indices.
+NodeSet RandomRefs(const PageSet& pages, Rng* rng) {
+  std::vector<NodeRef> refs;
+  double density = rng->NextDouble() * 0.5;
+  for (size_t p = 0; p < pages.size(); ++p) {
+    for (const html::Node* node : pages.page(p).text_nodes()) {
+      if (rng->NextBernoulli(density)) {
+        refs.push_back(NodeRef{static_cast<int>(p), node->preorder_index()});
+      }
+    }
+  }
+  size_t extra = rng->NextBounded(6);
+  for (size_t i = 0; i < extra; ++i) {
+    int page = static_cast<int>(rng->NextBounded(pages.size() + 2)) - 1;
+    int node = static_cast<int>(rng->NextBounded(1000)) - 2;
+    refs.push_back(NodeRef{page, node});  // Any kind, or out of range.
+  }
+  return NodeSet(std::move(refs));
+}
+
+TEST(SegmentationTest, FlattenOnceMatchesPerCallDomWalk) {
+  datasets::DealersConfig config;
+  config.num_sites = 3;
+  config.pages_per_site = 4;
+  datasets::Dataset dealers = datasets::MakeDealers(config);
+  std::vector<const PageSet*> page_sets;
+  PageSet figure_one = FigureOnePages();
+  page_sets.push_back(&figure_one);
+  for (const datasets::SiteData& data : dealers.sites) {
+    page_sets.push_back(&data.site.pages);
+  }
+
+  Rng rng(16);
+  for (const PageSet* pages : page_sets) {
+    const FlattenedPages flat(*pages);
+    for (int trial = 0; trial < 60; ++trial) {
+      // One to three types; a missing type may be null past type 0.
+      std::vector<NodeSet> sets;
+      size_t types = 1 + rng.NextBounded(3);
+      for (size_t t = 0; t < types; ++t) {
+        sets.push_back(RandomRefs(*pages, &rng));
+      }
+      std::vector<const NodeSet*> typed;
+      for (size_t t = 0; t < types; ++t) {
+        bool drop = t > 0 && rng.NextBernoulli(0.2);
+        typed.push_back(drop ? nullptr : &sets[t]);
+      }
+      std::vector<Segment> expected = SegmentByDomWalk(*pages, typed);
+      EXPECT_EQ(flat.SegmentRecords(typed), expected) << "trial " << trial;
+      EXPECT_EQ(SegmentRecords(*pages, typed), expected) << "trial " << trial;
+      EXPECT_EQ(flat.SegmentRecords(sets[0]),
+                SegmentByDomWalk(*pages, {&sets[0]}))
+          << "trial " << trial;
+    }
+  }
 }
 
 TEST(ListFeaturesTest, PerfectListHasZeroAlignment) {

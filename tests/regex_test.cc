@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/rng.h"
 #include "gtest/gtest.h"
 
 namespace ntw::regex {
@@ -232,6 +233,101 @@ TEST(RegexTest, EmptyPatternMatchesEmpty) {
 
 TEST(RegexTest, CaseSensitive) {
   EXPECT_FALSE(MustCompile("abc").FullMatch("ABC"));
+}
+
+TEST(RegexTest, PrefilterKeepsNullableAndAnchoredMatches) {
+  // Patterns that can match the empty string must try every offset.
+  EXPECT_TRUE(MustCompile("x?").PartialMatch("abc"));
+  EXPECT_TRUE(MustCompile("(x|)").PartialMatch("abc"));
+  EXPECT_TRUE(MustCompile("$").PartialMatch("abc"));
+  EXPECT_TRUE(MustCompile("x{0}").PartialMatch(""));
+  std::vector<Regex::Span> ends = MustCompile("$").FindAll("ab");
+  ASSERT_EQ(ends.size(), 1u);
+  EXPECT_EQ(ends[0].begin, 2u);
+  // A zero-width prefix does not hide the first consumed byte.
+  EXPECT_TRUE(MustCompile(R"(\b\d)").PartialMatch("ab 7"));
+  EXPECT_FALSE(MustCompile(R"(^\d)").PartialMatch("a7"));
+}
+
+// Random patterns over the whole syntax — anchors, \b, nullable
+// alternatives, {0}, negated classes — against random texts.
+class RandomPattern {
+ public:
+  explicit RandomPattern(uint64_t seed) : rng_(seed) {}
+
+  std::string Alternation(int depth) {
+    std::string out = Concat(depth);
+    while (rng_.NextBernoulli(0.3)) out += "|" + Concat(depth);
+    return out;
+  }
+
+  std::string Text() {
+    static constexpr char kAlphabet[] = "ab1 -\n";
+    std::string text;
+    size_t length = rng_.NextBounded(11);
+    for (size_t i = 0; i < length; ++i) {
+      text += kAlphabet[rng_.NextBounded(sizeof(kAlphabet) - 1)];
+    }
+    return text;
+  }
+
+ private:
+  std::string Concat(int depth) {
+    std::string out;
+    size_t atoms = rng_.NextBounded(4);  // May be empty: nullable branch.
+    for (size_t i = 0; i < atoms; ++i) out += QuantifiedAtom(depth);
+    return out;
+  }
+
+  std::string QuantifiedAtom(int depth) {
+    static const char* const kAnchors[] = {"^", "$", R"(\b)"};
+    if (rng_.NextBernoulli(0.15)) return kAnchors[rng_.NextBounded(3)];
+    static const char* const kAtoms[] = {
+        "a", "b", "1", " ", "-", ".", R"(\d)", R"(\w)", R"(\s)", R"(\D)",
+        "[ab]", "[^a1]", "[^ ]", R"(\n)"};
+    std::string atom =
+        depth > 0 && rng_.NextBernoulli(0.25)
+            ? "(" + Alternation(depth - 1) + ")"
+            : kAtoms[rng_.NextBounded(sizeof(kAtoms) / sizeof(kAtoms[0]))];
+    static const char* const kQuantifiers[] = {"",  "",    "",    "*", "+",
+                                               "?", "{0}", "{2}", "{1,2}"};
+    return atom + kQuantifiers[rng_.NextBounded(
+                      sizeof(kQuantifiers) / sizeof(kQuantifiers[0]))];
+  }
+
+  Rng rng_;
+};
+
+/// The same pattern with two top-level alternatives appended that never
+/// match: one that can begin with any byte, `(.|\n)^`, and one that can
+/// match the empty string, `^$\b`. The backtracker tries the pattern's own
+/// alternatives first, unchanged, so the reference's matches are the
+/// pattern's; but no byte and no offset can be ruled out, so it tries
+/// every offset.
+Regex EveryOffsetReference(const std::string& pattern) {
+  return MustCompile(pattern + "|(.|\\n)^|^$\\b");
+}
+
+TEST(RegexTest, PrefilterMatchesTryingEveryOffset) {
+  RandomPattern random(20261019);
+  for (int i = 0; i < 500; ++i) {
+    std::string pattern = random.Alternation(/*depth=*/2);
+    Regex re = MustCompile(pattern);
+    Regex reference = EveryOffsetReference(pattern);
+    for (int j = 0; j < 16; ++j) {
+      std::string text = random.Text();
+      ASSERT_EQ(re.PartialMatch(text), reference.PartialMatch(text))
+          << "/" << pattern << "/ on '" << text << "'";
+      std::vector<Regex::Span> spans = re.FindAll(text);
+      std::vector<Regex::Span> expected = reference.FindAll(text);
+      ASSERT_EQ(spans.size(), expected.size())
+          << "/" << pattern << "/ on '" << text << "'";
+      for (size_t k = 0; k < spans.size(); ++k) {
+        EXPECT_EQ(spans[k].begin, expected[k].begin) << "/" << pattern << "/";
+        EXPECT_EQ(spans[k].end, expected[k].end) << "/" << pattern << "/";
+      }
+    }
+  }
 }
 
 }  // namespace
