@@ -48,20 +48,28 @@ struct LoopState {
   std::condition_variable done_cv;
   std::exception_ptr error;  // Guarded by mu; first failure wins.
 
-  /// Claims indices until the range is drained. Returns after contributing
-  /// its share of completions.
-  void Drain() {
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+  /// Runs `fn` on index `i` and on every index claimed after it until the
+  /// range is drained; returns how many it ran. Completions are published
+  /// separately (Complete), so a helper can close its span first.
+  size_t RunFrom(size_t i) {
+    size_t ran = 0;
+    for (; i < n; i = next.fetch_add(1)) {
       try {
         (*fn)(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mu);
         if (!error) error = std::current_exception();
       }
-      if (completed.fetch_add(1) + 1 == n) {
-        std::lock_guard<std::mutex> lock(mu);
-        done_cv.notify_all();
-      }
+      ++ran;
+    }
+    return ran;
+  }
+
+  /// Publishes `count` completions, waking the caller on the last one.
+  void Complete(size_t count) {
+    if (count != 0 && completed.fetch_add(count) + count == n) {
+      std::lock_guard<std::mutex> lock(mu);
+      done_cv.notify_all();
     }
   }
 };
@@ -126,8 +134,18 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       // The helper span records this worker's share of the loop — the
       // per-thread pool activity view of the trace.
       queue_.push_back([state] {
-        obs::Span span("pool.drain");
-        state->Drain();
+        // A helper dequeued after every index was claimed (perhaps after
+        // ParallelFor returned) records nothing.
+        size_t first = state->next.fetch_add(1);
+        if (first >= state->n) return;
+        size_t ran = 0;
+        {
+          obs::Span span("pool.drain");
+          ran = state->RunFrom(first);
+        }
+        // Only after the span has closed: once the caller sees the last
+        // completion it may read the trace.
+        state->Complete(ran);
       });
     }
   }
@@ -137,7 +155,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   // saturated and guarantees progress even if every worker is busy.
   bool was_in_pool_work = t_in_pool_work;
   t_in_pool_work = true;
-  state->Drain();
+  state->Complete(state->RunFrom(state->next.fetch_add(1)));
   t_in_pool_work = was_in_pool_work;
 
   std::unique_lock<std::mutex> lock(state->mu);

@@ -134,71 +134,16 @@ void CompiledWrapper::ExtractStreaming(
     return;
   }
   buffer.page.Build(raw_page);
-  if (kind_ == Kind::kLr) {
-    MatchLr(buffer.page.stream(), buffer.page.spans(), values);
-  } else {
-    MatchHlrt(buffer.page.stream(), buffer.page.spans(), values);
-  }
+  MatchStream(buffer.page, values);
 }
 
-void CompiledWrapper::ExtractWithOccurrences(
-    std::string_view stream, const std::vector<html::StreamSpan>& spans,
-    const std::vector<size_t>* left_occ, const std::vector<size_t>* head_occ,
-    const std::vector<size_t>* tail_occ,
+void CompiledWrapper::MatchStream(
+    const html::StreamPage& page,
     std::vector<std::string_view>* values) const {
-  values->clear();
   if (kind_ == Kind::kLr) {
-    if (left_.empty()) {
-      for (const auto& span : spans) {
-        if (SpanMatchesLr(stream, span.begin, span.end)) {
-          values->push_back(stream.substr(span.begin, span.end - span.begin));
-        }
-      }
-      return;
-    }
-    // MatchLr's occurrence merge, with the per-plan BMH scan replaced by
-    // the shared ascending occurrence list.
-    size_t si = 0;
-    if (left_occ == nullptr) return;
-    for (size_t pos : *left_occ) {
-      if (si >= spans.size()) break;
-      size_t anchor = pos + left_.size();
-      while (si < spans.size() && spans[si].begin < anchor) ++si;
-      for (size_t j = si; j < spans.size() && spans[j].begin == anchor; ++j) {
-        const auto& span = spans[j];
-        if (right_.size() <= stream.size() - span.end &&
-            std::memcmp(stream.data() + span.end, right_.data(),
-                        right_.size()) == 0) {
-          values->push_back(stream.substr(span.begin, span.end - span.begin));
-        }
-      }
-    }
-    return;
-  }
-  if (kind_ != Kind::kHlrt) return;  // XPath plans have no streaming form.
-  // MatchHlrt's region narrowing: first head occurrence, first tail
-  // occurrence at or after the region begin.
-  size_t begin = 0;
-  size_t end = stream.size();
-  bool no_region = false;
-  if (!head_.empty()) {
-    if (head_occ == nullptr || head_occ->empty()) {
-      begin = 0;
-      end = 0;
-      no_region = true;
-    } else {
-      begin = head_occ->front() + head_.size();
-    }
-  }
-  if (!no_region && !tail_.empty() && tail_occ != nullptr) {
-    auto it = std::lower_bound(tail_occ->begin(), tail_occ->end(), begin);
-    if (it != tail_occ->end()) end = *it;
-  }
-  for (const auto& span : spans) {
-    if (span.begin < begin || span.end > end) continue;
-    if (SpanMatchesLr(stream, span.begin, span.end)) {
-      values->push_back(stream.substr(span.begin, span.end - span.begin));
-    }
+    MatchLr(page.stream(), page.spans(), values);
+  } else if (kind_ == Kind::kHlrt) {
+    MatchHlrt(page.stream(), page.spans(), values);
   }
 }
 

@@ -88,9 +88,8 @@ class StreamPageBuffer {
   std::vector<std::pair<size_t, size_t>> xextents_;
 };
 
-/// A thread-safe free list of per-request buffers (StreamPageBuffer, or
-/// the fused matcher's scratch). Lease RAII-returns the buffer
-/// (Clear()ed) on destruction.
+/// A thread-safe free list of per-request buffers (StreamPageBuffer).
+/// Lease RAII-returns the buffer (Clear()ed) on destruction.
 template <class Buffer>
 class BufferPool {
  public:
@@ -189,20 +188,13 @@ class CompiledWrapper {
   void ExtractStreaming(std::string_view raw_page, StreamPageBuffer& buffer,
                         std::vector<std::string_view>* values) const;
 
-  /// Occurrence-driven variant of the streaming matchers for the fused
-  /// multi-attribute path: instead of running its own BMH scans, the plan
-  /// consumes precomputed ascending occurrence-begin lists (from one
-  /// shared Aho–Corasick pass — see fused_matcher.h). Byte-identical to
-  /// ExtractStreaming on the same stream/spans. `left_occ` is required
-  /// for LR plans with a non-empty left; `head_occ`/`tail_occ` for HLRT
-  /// plans with non-empty head/tail; unused lists may be null. XPath
-  /// plans yield no values.
-  void ExtractWithOccurrences(std::string_view stream,
-                              const std::vector<html::StreamSpan>& spans,
-                              const std::vector<size_t>* left_occ,
-                              const std::vector<size_t>* head_occ,
-                              const std::vector<size_t>* tail_occ,
-                              std::vector<std::string_view>* values) const;
+  /// The LR/HLRT matchers over a StreamPage that is already built:
+  /// appends this plan's values from the page's stream and spans. One
+  /// built page serves every dom_free() plan of a site
+  /// (ExtractionRouter::SiteScan); ExtractStreaming is Build() then this.
+  /// XPath plans yield no values.
+  void MatchStream(const html::StreamPage& page,
+                   std::vector<std::string_view>* values) const;
 
   /// Capability flag: true when the plan is defined over the flattened
   /// character stream alone and never needs a DOM (LR/HLRT).

@@ -42,37 +42,26 @@ ExtractionRouter::Page ExtractionRouter::Extract(
   }
   // Views into the strings stay valid when the Page moves: moving the
   // vector keeps its elements where they are.
-  out.interpreted_views_.assign(out.interpreted_.begin(),
-                                out.interpreted_.end());
+  out.views_.assign(out.interpreted_.begin(), out.interpreted_.end());
   return out;
 }
 
-ExtractionRouter::SiteScan ExtractionRouter::ScanSite(
-    const FusedSiteExtractor* fused, std::string_view page) const {
-  SiteScan scan(this, page);
-  if (fused == nullptr || !fused_enabled()) return scan;
-  scan.fused_ = fused;
-  StreamPageBuffer& buffer = *scan.page_.emplace(stream_buffers_.Acquire());
-  FusedScratch& scratch = *scan.scratch_.emplace(fused_scratch_.Acquire());
-  fused->ExtractAllStreaming(page, buffer, scratch);
-  scan.tier_ = buffer.page.tier();
-  return scan;
-}
-
 ExtractionRouter::Page ExtractionRouter::SiteScan::Extract(
-    std::string_view name, const Wrapper& wrapper,
-    const CompiledWrapper* compiled) {
-  size_t index = fused_ == nullptr ? std::string_view::npos
-                                   : fused_->FindAttribute(name);
-  if (index == std::string_view::npos) {
-    // Not automaton-covered (a tree plan, no compiled form, or no scan).
+    const Wrapper& wrapper, const CompiledWrapper* compiled) {
+  if (!router_->options_.fast_path || compiled == nullptr ||
+      !compiled->dom_free()) {
     return router_->Extract(wrapper, compiled, input_);
   }
   Page out;
   out.route_ = ExtractRoute::kStreamingDelimiter;
-  out.tier_ = tier_;
-  out.fused_ = true;
-  out.values_ = &(*scratch_)->values[index];
+  out.shared_stream_ = built();
+  if (!built()) {
+    page_.emplace(router_->stream_buffers_.Acquire());
+    (*page_)->page.Build(input_);
+  }
+  const html::StreamPage& stream = (*page_)->page;
+  out.tier_ = stream.tier();
+  compiled->MatchStream(stream, &out.views_);
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/compiled_wrapper.h"
-#include "core/fused_matcher.h"
 #include "core/wrapper.h"
 
 namespace ntw::core {
@@ -32,8 +31,6 @@ enum class StreamingFallback : uint8_t {
 struct ExtractionRouterOptions {
   /// Off: every page goes to the interpreter (--no-fast-path).
   bool fast_path = true;
-  /// Off: ScanSite never scans, every attribute routes alone (--no-fused).
-  bool fused = true;
 };
 
 /// The one extraction router every caller shares — serving, the crawl and
@@ -62,10 +59,11 @@ class ExtractionRouter {
     /// StreamPage tier; meaningful for kStreamingDelimiter only (the
     /// XPath executor never builds a StreamPage).
     html::StreamPage::Tier tier() const { return tier_; }
-    /// True when a site's fused scan produced the values (ScanSite).
-    bool fused() const { return fused_; }
+    /// True when the values came from a StreamPage an earlier attribute
+    /// of the same SiteScan built: this page cost no build of its own.
+    bool shared_stream() const { return shared_stream_; }
     const std::vector<std::string_view>& values() const {
-      return values_ != nullptr ? *values_ : interpreted_views_;
+      return values_ != nullptr ? *values_ : views_;
     }
 
    private:
@@ -75,28 +73,28 @@ class ExtractionRouter {
     ExtractRoute route_ = ExtractRoute::kInterpreter;
     StreamingFallback fallback_ = StreamingFallback::kNone;
     html::StreamPage::Tier tier_ = html::StreamPage::Tier::kVerbatim;
-    bool fused_ = false;
-    // Null on the interpreter route, whose views live in this object.
+    bool shared_stream_ = false;
+    // Null where the views live in this object: on the interpreter route
+    // and on a SiteScan's delimiter pages.
     const std::vector<std::string_view>* values_ = nullptr;
     std::optional<StreamBufferPool::Lease> stream_;
     std::vector<std::string> interpreted_;
-    std::vector<std::string_view> interpreted_views_;
+    std::vector<std::string_view> views_;
   };
 
-  /// One page of a site, scanned once by the site's fused automaton when
-  /// there is one and the fused route is on; Extract() then serves each
-  /// covered attribute from the scan and routes the rest alone. Pages it
-  /// returns from the scan point into it: keep it alive while they are
-  /// read.
+  /// One page extracted for several attributes of its site. The page's
+  /// StreamPage is built once, on the first dom_free() plan Extract() is
+  /// given, and every dom_free() plan after it runs its own matcher over
+  /// the same stream and spans; other attributes route alone through
+  /// ExtractionRouter::Extract. Pages it returns may point into the
+  /// shared StreamPage: keep the scan alive while they are read.
   class SiteScan {
    public:
-    /// True when the automaton ran over the page.
-    bool scanned() const { return fused_ != nullptr; }
-    html::StreamPage::Tier tier() const { return tier_; }
-    /// Attribute `name`'s values: from the scan when it covers `name`,
-    /// otherwise ExtractionRouter::Extract over the same page.
-    Page Extract(std::string_view name, const Wrapper& wrapper,
-                 const CompiledWrapper* compiled);
+    /// True once a dom_free() plan built the page's StreamPage.
+    bool built() const { return page_.has_value(); }
+    /// One attribute's values: over the shared StreamPage for a dom_free()
+    /// plan, otherwise ExtractionRouter::Extract over the same page.
+    Page Extract(const Wrapper& wrapper, const CompiledWrapper* compiled);
 
    private:
     friend class ExtractionRouter;
@@ -105,33 +103,25 @@ class ExtractionRouter {
 
     const ExtractionRouter* router_;
     std::string_view input_;
-    const FusedSiteExtractor* fused_ = nullptr;
-    html::StreamPage::Tier tier_ = html::StreamPage::Tier::kVerbatim;
     std::optional<StreamBufferPool::Lease> page_;
-    std::optional<FusedScratchPool::Lease> scratch_;
   };
 
   explicit ExtractionRouter(Options options = {}) : options_(options) {}
-
-  /// Whether ScanSite can use a fused extractor; callers skip the
-  /// repository's FindFused lookup when it cannot.
-  bool fused_enabled() const { return options_.fast_path && options_.fused; }
 
   /// Routes one page through `wrapper`'s cheapest path; `compiled` is
   /// the wrapper's plan, or null when it has none.
   Page Extract(const Wrapper& wrapper, const CompiledWrapper* compiled,
                std::string_view page) const;
 
-  /// Scans `page` with `fused` (one site's automaton) when fused_enabled()
-  /// and `fused` is non-null; otherwise the scan is empty and every
-  /// attribute routes alone.
-  SiteScan ScanSite(const FusedSiteExtractor* fused,
-                    std::string_view page) const;
+  /// Starts a SiteScan of `page`; nothing is built until a dom_free()
+  /// attribute asks for it.
+  SiteScan ScanSite(std::string_view page) const {
+    return SiteScan(this, page);
+  }
 
  private:
   Options options_;
   mutable StreamBufferPool stream_buffers_;
-  mutable FusedScratchPool fused_scratch_;
 };
 
 }  // namespace ntw::core

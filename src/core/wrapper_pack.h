@@ -21,10 +21,9 @@ namespace ntw::core {
 /// `ntw_pack build` from a `<site>/<attr>.wrapper` directory; consumed by
 /// WrapperRepository's pack backend.
 ///
-/// The pack stores records only. Compiled plans and fused delimiter
-/// automata are derived from them in-process, the same way for both
-/// repository backends (CompiledWrapper::Compile on materialization,
-/// FusedSiteExtractor::Build on a site's first FindFused).
+/// The pack stores records only. Compiled plans are derived from them
+/// in-process, the same way for both repository backends
+/// (CompiledWrapper::Compile on materialization).
 ///
 /// File layout (native-endian, guarded by an endian stamp):
 ///

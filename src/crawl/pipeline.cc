@@ -21,9 +21,9 @@ struct CrawlMetrics {
   obs::Counter* links_discovered;
   obs::Counter* bytes_fetched;
   /// Records by extraction route, one add per record: delimiter (LR/HLRT)
-  /// streaming, fused or alone; streaming XPath; and the interpreter
-  /// records by fallback reason. Disjoint, so the five sum to
-  /// records_emitted (serve's streaming_pages also counts XPath).
+  /// streaming, streaming XPath, and the interpreter records by fallback
+  /// reason. Disjoint, so the five sum to records_emitted (serve's
+  /// streaming_pages also counts XPath).
   obs::Counter* streaming_pages;
   obs::Counter* streaming_xpath_pages;
   obs::Counter* streaming_fallback_disabled;
@@ -158,7 +158,6 @@ bool CrawlPipeline::RobotsAllows(const Url& url) {
 }
 
 void CrawlPipeline::ExtractSite(
-    const core::FusedSiteExtractor* fused,
     const std::vector<
         std::pair<std::string, const serve::WrapperRepository::Entry*>>&
         entries,
@@ -168,37 +167,28 @@ void CrawlPipeline::ExtractSite(
   RecordTiming timing;
   timing.enabled = options_.timing;
   timing.fetch_micros = fetch_micros;
-  auto start = std::chrono::steady_clock::now();
-  core::ExtractionRouter::SiteScan scan = router_.ScanSite(fused, body);
-  // The scan cost is shared by every attribute it served; each record
-  // reports the whole scan (timing is off on byte-identity runs anyway).
-  int64_t scan_micros = MicrosSince(start);
+  core::ExtractionRouter::SiteScan scan = router_.ScanSite(body);
   int64_t records = 0;
-  int64_t fused_records = 0;
   int64_t value_total = 0;
   for (const auto& [attribute, entry] : entries) {
     if (!options_.attribute.empty() && attribute != options_.attribute) {
       continue;
     }
-    start = std::chrono::steady_clock::now();
+    auto start = std::chrono::steady_clock::now();
     core::ExtractionRouter::Page page =
-        scan.Extract(attribute, *entry->wrapper, entry->compiled.get());
-    timing.extract_micros = page.fused() ? scan_micros : MicrosSince(start);
+        scan.Extract(*entry->wrapper, entry->compiled.get());
+    // The first dom_free record's time includes the StreamPage build.
+    timing.extract_micros = MicrosSince(start);
     const std::vector<std::string_view>& values = page.values();
     AppendRecordLine(site, url, attribute, values, timing, chunk);
     if (options_.self_heal && entry->drift != nullptr) {
       ObserveDriftSample(*entry, body, values.data(), values.size());
     }
     metrics.extract_latency->Record(timing.extract_micros);
-    if (page.fused()) {
-      ++fused_records;
-    } else {
-      metrics.RouteCounter(page)->Add(1);
-    }
+    metrics.RouteCounter(page)->Add(1);
     ++records;
     value_total += static_cast<int64_t>(values.size());
   }
-  if (fused_records > 0) metrics.streaming_pages->Add(fused_records);
   metrics.records_emitted->Add(records);
   metrics.values_extracted->Add(value_total);
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -281,11 +271,7 @@ void CrawlPipeline::ProcessItem(FrontierItem* item, std::string* chunk) {
     // finalized pack entries, merged in ascending attribute order.
     std::vector<std::pair<std::string, const serve::WrapperRepository::Entry*>>
         entries = snapshot->MaterializeSite(site);
-    std::shared_ptr<const core::FusedSiteExtractor> fused;
-    if (router_.fused_enabled() && options_.attribute.empty()) {
-      fused = snapshot->FindFused(site);
-    }
-    ExtractSite(fused.get(), entries, site, serialized, fetched.body,
+    ExtractSite(entries, site, serialized, fetched.body,
                 fetched.latency_micros, chunk);
   }
   repository_->ReclaimRetired();

@@ -44,9 +44,8 @@ struct CrawlOptions {
   // (SiteFromUrl) when the whole crawl targets one site.
   std::string attribute;
   std::string fixed_site;
-  /// Off: every page goes to the heap-DOM interpreter. On, a site whose
-  /// wrappers include two or more dom_free ones is scanned once with its
-  /// fused automaton (DESIGN.md §15) unless one `attribute` is selected.
+  /// Off: every page goes to the heap-DOM interpreter. On, a page's
+  /// StreamPage is built once for all of its site's dom_free wrappers.
   bool fast_path = true;
   /// Feed drift detectors and enqueue re-induction (needs a reinducer).
   bool self_heal = false;
@@ -134,11 +133,10 @@ class CrawlPipeline {
   /// caches robots.txt on demand.
   bool RobotsAllows(const Url& url);
   /// Extracts every wrapper of `site` (or the one `attribute` filter)
-  /// from `body` through the router: one fused scan for the attributes
-  /// `fused` covers (when non-null), the per-attribute route for the
-  /// rest. Lines are emitted in ascending attribute order either way.
+  /// from `body` through one router SiteScan: the dom_free wrappers share
+  /// one StreamPage, the rest route alone. Lines are emitted in ascending
+  /// attribute order.
   void ExtractSite(
-      const core::FusedSiteExtractor* fused,
       const std::vector<
           std::pair<std::string, const serve::WrapperRepository::Entry*>>&
           entries,

@@ -1,7 +1,9 @@
 #include "regex/regex.h"
 
+#include <algorithm>
 #include <array>
 #include <bitset>
+#include <type_traits>
 
 #include "common/strings.h"
 
@@ -367,218 +369,84 @@ class PatternParser {
   size_t pos_ = 0;
 };
 
-/// Backtracking matcher: MatchHere(node-list position) via continuation
-/// passing on the concat stack.
+/// A non-owning reference to a continuation: "the rest of the pattern
+/// from this text offset", returning true once the whole match succeeds.
+/// Type-erased so the recursive matcher instantiates once.
+class Continuation {
+ public:
+  template <class F>
+    requires(!std::is_same_v<F, Continuation>)
+  Continuation(const F& f)  // Implicit: callers pass lambdas.
+      : fn_(&f), call_([](const void* fn, size_t pos) {
+          return (*static_cast<const F*>(fn))(pos);
+        }) {}
+
+  bool operator()(size_t pos) const { return call_(fn_, pos); }
+
+ private:
+  const void* fn_;
+  bool (*call_)(const void*, size_t);
+};
+
+/// Continuation-passing backtracker: Match(node, pos, k) tries every way
+/// `node` can match at `pos` — alternatives in pattern order, repeats
+/// greedily — and calls k with each end offset until k accepts. Every
+/// node kind, at any nesting depth, goes through this one matcher, so
+/// wrapping a pattern in parentheses never changes what it matches.
 class Matcher {
  public:
-  Matcher(std::string_view text) : text_(text) {}
+  explicit Matcher(std::string_view text) : text_(text) {}
 
-  /// Attempts to match `node` starting at `pos`; on success invokes the
-  /// continuation with the end position. Returns true if any alternative
-  /// succeeds.
-  bool Match(const Node* node, size_t pos, size_t* end) {
+  bool Match(const Node* node, size_t pos, Continuation k) const {
     switch (node->kind) {
       case Kind::kAlternation:
         for (const auto& child : node->children) {
-          if (Match(child.get(), pos, end)) return true;
+          if (Match(child.get(), pos, k)) return true;
         }
         return false;
       case Kind::kConcat:
-        return MatchSeq(node, 0, pos, end);
+        return MatchSeq(node, 0, pos, k);
       case Kind::kRepeat:
-        return MatchRepeatThen(node, pos, 0, nullptr, 0, end);
+        return MatchRepeat(node, 0, pos, k);
       case Kind::kCharClass:
-        if (pos < text_.size() &&
-            node->chars.test(static_cast<unsigned char>(text_[pos]))) {
-          *end = pos + 1;
-          return true;
-        }
-        return false;
+        return pos < text_.size() &&
+               node->chars.test(static_cast<unsigned char>(text_[pos])) &&
+               k(pos + 1);
       case Kind::kAnchorBegin:
-        if (pos == 0) {
-          *end = pos;
-          return true;
-        }
-        return false;
+        return pos == 0 && k(pos);
       case Kind::kAnchorEnd:
-        if (pos == text_.size()) {
-          *end = pos;
-          return true;
-        }
-        return false;
+        return pos == text_.size() && k(pos);
       case Kind::kWordBoundary: {
         bool before = pos > 0 && IsWordChar(text_[pos - 1]);
         bool after = pos < text_.size() && IsWordChar(text_[pos]);
-        if (before != after) {
-          *end = pos;
-          return true;
-        }
-        return false;
+        return before != after && k(pos);
       }
     }
     return false;
   }
 
  private:
-  /// Matches children of `concat` from index `i` at `pos`.
-  bool MatchSeq(const Node* concat, size_t i, size_t pos, size_t* end) {
-    if (i == concat->children.size()) {
-      *end = pos;
-      return true;
-    }
-    const Node* child = concat->children[i].get();
-    if (child->kind == Kind::kRepeat) {
-      return MatchRepeatThen(child, pos, 0, concat, i + 1, end);
-    }
-    if (child->kind == Kind::kAlternation || child->kind == Kind::kConcat) {
-      // Try every way the child can match, continuing with the rest.
-      return MatchSubThen(child, pos, concat, i + 1, end);
-    }
-    size_t next = 0;
-    if (!Match(child, pos, &next)) return false;
-    return MatchSeq(concat, i + 1, next, end);
+  /// Children of `concat` from index `i` at `pos`, then k.
+  bool MatchSeq(const Node* concat, size_t i, size_t pos,
+                Continuation k) const {
+    if (i == concat->children.size()) return k(pos);
+    return Match(concat->children[i].get(), pos,
+                 [&](size_t next) { return MatchSeq(concat, i + 1, next, k); });
   }
 
-  /// Matches a composite child then the remainder of the concat,
-  /// backtracking through the child's alternatives.
-  bool MatchSubThen(const Node* child, size_t pos, const Node* concat,
-                    size_t cont_index, size_t* end) {
-    if (child->kind == Kind::kAlternation) {
-      for (const auto& alt : child->children) {
-        if (MatchSubThen(alt.get(), pos, concat, cont_index, end)) {
-          return true;
-        }
-      }
-      return false;
-    }
-    if (child->kind == Kind::kConcat) {
-      // Inline: match child's sequence, then the continuation. Implemented
-      // by a recursive helper over the child's children.
-      return MatchNestedSeq(child, 0, pos, concat, cont_index, end);
-    }
-    if (child->kind == Kind::kRepeat) {
-      return MatchRepeatThen(child, pos, 0, concat, cont_index, end);
-    }
-    size_t next = 0;
-    if (!Match(child, pos, &next)) return false;
-    if (concat == nullptr) {
-      *end = next;
-      return true;
-    }
-    return MatchSeq(concat, cont_index, next, end);
-  }
-
-  bool MatchNestedSeq(const Node* seq, size_t i, size_t pos,
-                      const Node* concat, size_t cont_index, size_t* end) {
-    if (i == seq->children.size()) {
-      if (concat == nullptr) {
-        *end = pos;
-        return true;
-      }
-      return MatchSeq(concat, cont_index, pos, end);
-    }
-    const Node* child = seq->children[i].get();
-    if (child->kind == Kind::kRepeat || child->kind == Kind::kAlternation ||
-        child->kind == Kind::kConcat) {
-      // Build the "rest of this nested sequence then outer continuation"
-      // closure via recursion on a temporary concat view. Simplest sound
-      // approach: try all match lengths of the child.
-      for (size_t try_end = text_.size() + 1; try_end-- > pos;) {
-        if (MatchesExactly(child, pos, try_end) &&
-            MatchNestedSeq(seq, i + 1, try_end, concat, cont_index, end)) {
-          return true;
-        }
-      }
-      return false;
-    }
-    size_t next = 0;
-    if (!Match(child, pos, &next)) return false;
-    return MatchNestedSeq(seq, i + 1, next, concat, cont_index, end);
-  }
-
-  /// Greedy repeat of node->children[0], then continuation.
-  bool MatchRepeatThen(const Node* repeat, size_t pos, int count,
-                       const Node* concat, size_t cont_index, size_t* end) {
-    const Node* body = repeat->children[0].get();
-    // Greedy: try one more repetition first (when allowed).
+  /// Greedy: one more body iteration first (when allowed), then k. A
+  /// zero-width iteration is taken only while it counts toward the
+  /// minimum (or as the first): past that it could only repeat forever.
+  bool MatchRepeat(const Node* repeat, int count, size_t pos,
+                   Continuation k) const {
     if (repeat->max < 0 || count < repeat->max) {
-      // Enumerate possible body matches from pos.
-      for (size_t try_end = text_.size() + 1; try_end-- > pos;) {
-        if (try_end == pos && count >= 1) {
-          // Zero-width body repetition: stop extending to avoid loops.
-          continue;
-        }
-        if (MatchesExactly(body, pos, try_end)) {
-          if (MatchRepeatThen(repeat, try_end, count + 1, concat, cont_index,
-                              end)) {
-            return true;
-          }
-        }
-      }
+      auto more = [&](size_t next) {
+        return (next != pos || count < std::max(repeat->min, 1)) &&
+               MatchRepeat(repeat, count + 1, next, k);
+      };
+      if (Match(repeat->children[0].get(), pos, more)) return true;
     }
-    if (count >= repeat->min) {
-      if (concat == nullptr) {
-        *end = pos;
-        return true;
-      }
-      return MatchSeq(concat, cont_index, pos, end);
-    }
-    return false;
-  }
-
-  /// True when node matches text [pos, end_exact) exactly.
-  bool MatchesExactly(const Node* node, size_t pos, size_t end_exact) {
-    switch (node->kind) {
-      case Kind::kCharClass:
-        return end_exact == pos + 1 && pos < text_.size() &&
-               node->chars.test(static_cast<unsigned char>(text_[pos]));
-      case Kind::kAnchorBegin:
-      case Kind::kAnchorEnd:
-      case Kind::kWordBoundary: {
-        size_t e = 0;
-        return end_exact == pos && Match(node, pos, &e);
-      }
-      case Kind::kAlternation:
-        for (const auto& child : node->children) {
-          if (MatchesExactly(child.get(), pos, end_exact)) return true;
-        }
-        return false;
-      case Kind::kConcat: {
-        if (node->children.empty()) return end_exact == pos;
-        return MatchesSeqExactly(node, 0, pos, end_exact);
-      }
-      case Kind::kRepeat: {
-        return MatchesRepeatExactly(node, pos, end_exact, 0);
-      }
-    }
-    return false;
-  }
-
-  bool MatchesSeqExactly(const Node* seq, size_t i, size_t pos,
-                         size_t end_exact) {
-    if (i == seq->children.size()) return pos == end_exact;
-    const Node* child = seq->children[i].get();
-    for (size_t mid = pos; mid <= end_exact; ++mid) {
-      if (MatchesExactly(child, pos, mid) &&
-          MatchesSeqExactly(seq, i + 1, mid, end_exact)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool MatchesRepeatExactly(const Node* repeat, size_t pos, size_t end_exact,
-                            int count) {
-    if (pos == end_exact && count >= repeat->min) return true;
-    if (repeat->max >= 0 && count >= repeat->max) return pos == end_exact;
-    const Node* body = repeat->children[0].get();
-    for (size_t mid = pos + 1; mid <= end_exact; ++mid) {
-      if (MatchesExactly(body, pos, mid) &&
-          MatchesRepeatExactly(repeat, mid, end_exact, count + 1)) {
-        return true;
-      }
-    }
-    return false;
+    return count >= repeat->min && k(pos);
   }
 
   std::string_view text_;
@@ -586,11 +454,8 @@ class Matcher {
 
 }  // namespace
 
-Regex::Regex(std::string pattern, std::unique_ptr<Node> root,
-             std::unique_ptr<Node> anchored_root)
-    : pattern_(std::move(pattern)),
-      root_(std::move(root)),
-      anchored_root_(std::move(anchored_root)) {
+Regex::Regex(std::string pattern, std::unique_ptr<Node> root)
+    : pattern_(std::move(pattern)), root_(std::move(root)) {
   StartSet start = StartOf(root_.get());
   first_bytes_ = start.first;
   nullable_ = start.nullable;
@@ -603,27 +468,20 @@ Regex& Regex::operator=(Regex&&) noexcept = default;
 Result<Regex> Regex::Compile(std::string_view pattern) {
   PatternParser parser(pattern);
   NTW_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, parser.Parse());
-  // Anchored variant "(pattern)$" used by FullMatch: the end anchor makes
-  // the backtracker explore alternatives until the whole input is consumed.
-  std::string anchored_pattern = "(" + std::string(pattern) + ")$";
-  PatternParser anchored_parser(anchored_pattern);
-  NTW_ASSIGN_OR_RETURN(std::unique_ptr<Node> anchored_root,
-                       anchored_parser.Parse());
-  return Regex(std::string(pattern), std::move(root),
-               std::move(anchored_root));
+  return Regex(std::string(pattern), std::move(root));
 }
 
 bool Regex::FullMatch(std::string_view text) const {
-  Matcher matcher(text);
-  size_t end = 0;
-  return matcher.Match(anchored_root_.get(), 0, &end);
+  // Backtracks through every alternative until one consumes the input.
+  return Matcher(text).Match(root_.get(), 0,
+                             [&](size_t end) { return end == text.size(); });
 }
 
 bool Regex::PartialMatch(std::string_view text) const {
   Matcher matcher(text);
-  size_t end = 0;
+  auto any_end = [](size_t) { return true; };
   for (size_t start = 0; start <= text.size(); ++start) {
-    if (CanStartAt(text, start) && matcher.Match(root_.get(), start, &end)) {
+    if (CanStartAt(text, start) && matcher.Match(root_.get(), start, any_end)) {
       return true;
     }
   }
@@ -636,7 +494,12 @@ std::vector<Regex::Span> Regex::FindAll(std::string_view text) const {
   size_t start = 0;
   while (start <= text.size()) {
     size_t end = 0;
-    if (CanStartAt(text, start) && matcher.Match(root_.get(), start, &end)) {
+    auto first_end = [&](size_t e) {
+      end = e;
+      return true;
+    };
+    if (CanStartAt(text, start) &&
+        matcher.Match(root_.get(), start, first_end)) {
       spans.push_back(Span{start, end});
       start = end > start ? end : start + 1;
     } else {

@@ -22,8 +22,9 @@ namespace ntw::regex {
 ///   groups          ( … ) (non-capturing semantics)
 ///   alternation     a|b
 ///
-/// The engine is a classic recursive backtracker over a parsed AST; it is
-/// deliberately small and has no capture groups — annotators only need
+/// The engine is a continuation-passing recursive backtracker over a
+/// parsed AST: alternatives are tried in pattern order and quantifiers
+/// are greedy, at every nesting depth alike. It is deliberately small and has no capture groups — annotators only need
 /// match detection and match spans.
 ///
 /// Compile() also derives two facts about the pattern: the set of bytes a
@@ -62,8 +63,7 @@ class Regex {
   struct Node;
 
  private:
-  Regex(std::string pattern, std::unique_ptr<Node> root,
-        std::unique_ptr<Node> anchored_root);
+  Regex(std::string pattern, std::unique_ptr<Node> root);
 
   /// False only where no match can start at `start` (see the class note).
   bool CanStartAt(std::string_view text, size_t start) const {
@@ -74,7 +74,6 @@ class Regex {
 
   std::string pattern_;
   std::unique_ptr<Node> root_;
-  std::unique_ptr<Node> anchored_root_;
   std::bitset<256> first_bytes_;  // Bytes a non-empty match begins with.
   bool nullable_ = true;          // Some match may consume nothing.
 };

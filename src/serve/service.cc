@@ -36,9 +36,9 @@ struct ServiceMetrics {
   obs::ShardedCounter* streaming_fallback_disabled;
   obs::ShardedCounter* streaming_fallback_no_plan;
   obs::ShardedCounter* streaming_fallback_unstreamable_xpath;
-  /// attribute=* pages scanned once by a fused site automaton (each scan
-  /// replaces one BMH pass per dom_free attribute).
-  obs::ShardedCounter* fused_scans;
+  /// attribute=* pages whose StreamPage was built: once per page, shared
+  /// by every dom_free attribute of the site.
+  obs::ShardedCounter* shared_stream_pages;
   obs::ShardedHistogram* extract_latency;
 
   static ServiceMetrics& Get() {
@@ -62,7 +62,8 @@ struct ServiceMetrics {
             "ntw.serve.streaming_fallback_no_plan"),
         obs::Registry::Global().GetShardedCounter(
             "ntw.serve.streaming_fallback_unstreamable_xpath"),
-        obs::Registry::Global().GetShardedCounter("ntw.serve.fused_scans"),
+        obs::Registry::Global().GetShardedCounter(
+            "ntw.serve.shared_stream_pages"),
         obs::Registry::Global().GetShardedHistogram(
             "ntw.serve.extract_latency_micros"),
     };
@@ -94,7 +95,7 @@ const WrapperRepository::Entry* LookupWrapper(
 }
 
 /// attribute=* (or attr=*) selects multi-attribute mode: every wrapper of
-/// the site from one request body, fused-scanned when possible.
+/// the site from one request body.
 bool IsMultiAttribute(const HttpRequest& request, std::string* site) {
   std::string attribute = request.QueryParam("attribute");
   if (attribute.empty()) attribute = request.QueryParam("attr");
@@ -137,11 +138,8 @@ void ExtractService::WritePage(const WrapperRepository::Entry& entry,
                                obs::JsonWriter& json) const {
   ServiceMetrics& metrics = ServiceMetrics::Get();
   int shard = options_.shard;
-  // A fused scan's latency and route were counted once for the page.
-  if (!page.fused()) {
-    metrics.extract_latency->Record(shard, MicrosSince(start));
-    CountRoute(page);
-  }
+  metrics.extract_latency->Record(shard, MicrosSince(start));
+  CountRoute(page);
   const std::vector<std::string_view>& values = page.values();
   json.BeginArray();
   for (std::string_view value : values) json.String(value);
@@ -158,10 +156,11 @@ void ExtractService::CountRoute(
   switch (page.route()) {
     case core::ExtractRoute::kStreamingDelimiter:
       metrics.streaming_pages->Add(shard, 1);
-      CountTier(page.tier());
+      // A shared StreamPage's tier was counted when it was built.
+      if (!page.shared_stream()) CountTier(page.tier());
       return;
     case core::ExtractRoute::kStreamingXPath:
-      // Fused XPath never Builds the StreamPage, so the tier counters
+      // The XPath executor never builds a StreamPage, so the tier counters
       // (which would read a stale tier) do not apply.
       metrics.streaming_pages->Add(shard, 1);
       metrics.streaming_xpath_pages->Add(shard, 1);
@@ -201,36 +200,23 @@ void ExtractService::CountTier(html::StreamPage::Tier tier) const {
 }
 
 void ExtractService::ExtractAllToJson(
-    const WrapperRepository::Snapshot& snapshot, const std::string& site,
     const std::vector<std::pair<std::string, const WrapperRepository::Entry*>>&
         entries,
     const std::string& page_html, obs::JsonWriter& json) const {
-  ServiceMetrics& metrics = ServiceMetrics::Get();
-  int shard = options_.shard;
-  std::shared_ptr<const core::FusedSiteExtractor> fused;
-  if (router_.fused_enabled()) fused = snapshot.FindFused(site);
-  // One automaton pass yields every covered attribute's values; the
-  // attributes it does not cover (tree plans, or no compiled form) and
-  // the fused-off path route per attribute.
-  auto start = std::chrono::steady_clock::now();
-  core::ExtractionRouter::SiteScan scan =
-      router_.ScanSite(fused.get(), page_html);
-  if (scan.scanned()) {
-    metrics.extract_latency->Record(shard, MicrosSince(start));
-    metrics.fused_scans->Add(shard, 1);
-    metrics.streaming_pages->Add(shard, 1);
-    CountTier(scan.tier());
-  }
+  core::ExtractionRouter::SiteScan scan = router_.ScanSite(page_html);
   json.Key("attributes");
   json.BeginObject();
   for (const auto& [name, entry] : entries) {
     json.Key(name);
-    start = std::chrono::steady_clock::now();
+    auto start = std::chrono::steady_clock::now();
     WritePage(*entry, page_html,
-              scan.Extract(name, *entry->wrapper, entry->compiled.get()),
-              start, json);
+              scan.Extract(*entry->wrapper, entry->compiled.get()), start,
+              json);
   }
   json.EndObject();
+  if (scan.built()) {
+    ServiceMetrics::Get().shared_stream_pages->Add(options_.shard, 1);
+  }
 }
 
 void ExtractService::ObserveDrift(const WrapperRepository::Entry& entry,
@@ -374,7 +360,7 @@ HttpResponse ExtractService::ExtractMulti(
   json.KV("site", site);
   json.KV("attribute", "*");
   json.KV("repository_version", static_cast<int64_t>(snapshot.version));
-  ExtractAllToJson(snapshot, site, entries, request.body, json);
+  ExtractAllToJson(entries, request.body, json);
   json.EndObject();
   HttpResponse response;
   response.body = json.Take();
@@ -398,7 +384,7 @@ HttpResponse ExtractService::ExtractBatchMulti(
   ServiceMetrics::Get().batch_lines->Add(options_.shard,
                                          static_cast<int64_t>(lines.size()));
   // Same slot-per-line determinism as the single-attribute batch; each
-  // line scans the page once for all of the site's dom_free attributes.
+  // line builds one StreamPage for all of the site's dom_free attributes.
   std::vector<std::string> results(lines.size());
   pool_->ParallelFor(lines.size(), [&](size_t i) {
     obs::JsonWriter json;
@@ -409,7 +395,7 @@ HttpResponse ExtractService::ExtractBatchMulti(
       json.KV("error", line.status().ToString());
     } else {
       if (line->has_id) json.KV("id", line->id);
-      ExtractAllToJson(snapshot, site, entries, line->html, json);
+      ExtractAllToJson(entries, line->html, json);
     }
     json.EndObject();
     results[i] = json.Take();

@@ -56,12 +56,6 @@ struct ExtractServiceOptions {
   /// service was constructed with a ReinduceWorker and the repository has
   /// a drift config installed.
   bool self_heal = true;
-  /// `attribute=*` requests: scan the page once with the site's fused
-  /// multi-pattern automaton (DESIGN.md §15) instead of once per
-  /// attribute, for sites with two or more dom_free plans. Only
-  /// consulted when fast_path is on; the daemon's --no-fused turns it
-  /// off. Byte-identical either way.
-  bool fused = true;
 };
 
 class ExtractService {
@@ -74,8 +68,8 @@ class ExtractService {
         pool_(pool),
         options_(options),
         reinducer_(reinducer),
-        router_(core::ExtractionRouter::Options{.fast_path = options.fast_path,
-                                                .fused = options.fused}) {}
+        router_(core::ExtractionRouter::Options{
+            .fast_path = options.fast_path}) {}
 
   HttpResponse Handle(const HttpRequest& request) const;
 
@@ -108,11 +102,9 @@ class ExtractService {
   void CountRoute(const core::ExtractionRouter::Page& page) const;
   void CountTier(html::StreamPage::Tier tier) const;
   /// Writes the `"attributes":{"a":[...],...}` member for every attribute
-  /// of `site`, ascending. One fused automaton scan covers the site's
-  /// dom_free plans when enabled; the rest (and the fused-off path) route
-  /// per attribute — byte-identical by contract.
+  /// in `entries` (one site's, ascending). The page's StreamPage is built
+  /// once for all the dom_free plans; the rest route per attribute.
   void ExtractAllToJson(
-      const WrapperRepository::Snapshot& snapshot, const std::string& site,
       const std::vector<std::pair<std::string, const WrapperRepository::Entry*>>&
           entries,
       const std::string& page_html, obs::JsonWriter& json) const;

@@ -195,38 +195,8 @@ const WrapperRepository::Entry* WrapperRepository::Snapshot::MaterializeLocked(
   return out;
 }
 
-std::shared_ptr<const core::FusedSiteExtractor>
-WrapperRepository::Snapshot::FindFused(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto hit = fused_cache_.find(site);
-  if (hit != fused_cache_.end()) return hit->second;
-  std::vector<std::pair<std::string, const Entry*>> entries =
-      MaterializeSiteLocked(site);
-  if (entries.empty()) return nullptr;  // Unknown site: not cached.
-  std::vector<
-      std::pair<std::string, std::shared_ptr<const core::CompiledWrapper>>>
-      plans;
-  plans.reserve(entries.size());
-  for (auto& [attribute, entry] : entries) {
-    plans.emplace_back(std::move(attribute), entry->compiled);
-  }
-  // Cache even a null result (site exists, fewer than two dom_free
-  // plans): the lookup answer is stable for the snapshot's lifetime.
-  auto fused = core::FusedSiteExtractor::Build(std::move(plans));
-  fused_cache_[site] = fused;
-  return fused;
-}
-
 std::vector<std::pair<std::string, const WrapperRepository::Entry*>>
 WrapperRepository::Snapshot::MaterializeSite(const std::string& site) const {
-  if (pack == nullptr) return MaterializeSiteLocked(site);  // No lazy cache.
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return MaterializeSiteLocked(site);
-}
-
-std::vector<std::pair<std::string, const WrapperRepository::Entry*>>
-WrapperRepository::Snapshot::MaterializeSiteLocked(
-    const std::string& site) const {
   std::vector<std::pair<std::string, const Entry*>> overlay;
   for (auto it = wrappers.lower_bound({site, std::string()});
        it != wrappers.end() && it->first.first == site; ++it) {
@@ -236,6 +206,7 @@ WrapperRepository::Snapshot::MaterializeSiteLocked(
   auto pack_site = pack->FindSite(site);
   if (!pack_site.has_value()) return overlay;
 
+  std::lock_guard<std::mutex> lock(cache_mu_);
   std::vector<std::pair<std::string, const Entry*>> merged;
   size_t oi = 0;
   for (size_t i = 0; i < pack_site->entry_count(); ++i) {
@@ -561,10 +532,10 @@ Status WrapperRepository::PublishWrapper(const std::string& site,
     // Pack-only mode persisted nothing: keep the incumbent fingerprint
     // (read under mu_ — a concurrent Load() writes it there too).
     if (!persisted) fingerprint = loaded_fingerprint_;
-    // Snapshots are non-copyable (they own lazy caches); clone the
-    // immutable parts and start with cold caches — entries and fused
-    // extractors re-materialize against the bumped version, so stale
-    // response prefixes can never leak across the publish.
+    // Snapshots are non-copyable (they own a lazy cache); clone the
+    // immutable parts and start with a cold cache — entries re-materialize
+    // against the bumped version, so stale response prefixes can never
+    // leak across the publish.
     auto next = NewSnapshot();
     next->wrappers = snapshot_->wrappers;
     next->errors = snapshot_->errors;

@@ -15,7 +15,6 @@
 #include "common/epoch.h"
 #include "common/result.h"
 #include "core/compiled_wrapper.h"
-#include "core/fused_matcher.h"
 #include "core/wrapper.h"
 #include "core/wrapper_pack.h"
 #include "serve/drift.h"
@@ -150,16 +149,6 @@ class WrapperRepository {
     const Entry* Find(const std::string& site,
                       const std::string& attribute) const;
 
-    /// The site's fused multi-attribute extractor (one page scan for
-    /// all dom_free attributes), built on first use from the plans
-    /// MaterializeSite returns — so on either backend it covers exactly
-    /// the live delimiters, overlay shadowing pack — and cached for the
-    /// snapshot. Null when the site is unknown or has fewer than
-    /// kMinFusedAttributes dom_free plans — callers fall back to
-    /// per-attribute extraction.
-    std::shared_ptr<const core::FusedSiteExtractor> FindFused(
-        const std::string& site) const;
-
     /// Every attribute of a site, ascending, merging the pack directory
     /// with the overlay (overlay shadows same-name pack attributes).
     /// Pack entries are materialized through the same cache as Find().
@@ -179,24 +168,14 @@ class WrapperRepository {
 
     const Entry* MaterializeLocked(const std::string& site,
                                    const std::string& attribute) const;
-    /// MaterializeSite's body. Needs cache_mu_ held when `pack` is set
-    /// (without a pack it reads only the immutable overlay map).
-    std::vector<std::pair<std::string, const Entry*>> MaterializeSiteLocked(
-        const std::string& site) const;
 
     std::shared_ptr<DriftRegistry> drift_registry_;
-    /// Guards the lazy caches; the rest of the snapshot is immutable
+    /// Guards the lazy cache; the rest of the snapshot is immutable
     /// after publish.
     mutable std::mutex cache_mu_;
     mutable std::map<std::pair<std::string, std::string>,
                      std::unique_ptr<const Entry>>
         cache_;
-    /// Site → fused extractor. Caches nullptr for sites that exist but
-    /// have too few dom_free plans (a cheap "don't retry" marker);
-    /// unknown sites are never cached.
-    mutable std::map<std::string,
-                     std::shared_ptr<const core::FusedSiteExtractor>>
-        fused_cache_;
   };
 
   explicit WrapperRepository(std::string root)

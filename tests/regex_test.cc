@@ -1,6 +1,8 @@
 #include "regex/regex.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -249,6 +251,37 @@ TEST(RegexTest, PrefilterKeepsNullableAndAnchoredMatches) {
   EXPECT_FALSE(MustCompile(R"(^\d)").PartialMatch("a7"));
 }
 
+std::vector<std::pair<size_t, size_t>> Spans(const Regex& re,
+                                              std::string_view text) {
+  std::vector<std::pair<size_t, size_t>> out;
+  for (const Regex::Span& span : re.FindAll(text)) {
+    out.emplace_back(span.begin, span.end);
+  }
+  return out;
+}
+
+TEST(RegexTest, GroupingDoesNotChangeMatches) {
+  using SpanList = std::vector<std::pair<size_t, size_t>>;
+  // Alternatives are tried in order whether or not they are nested.
+  EXPECT_EQ(Spans(MustCompile("(a|ab)c?"), "abc"), (SpanList{{0, 1}}));
+  EXPECT_EQ(Spans(MustCompile("((a|ab)c?)"), "abc"), (SpanList{{0, 1}}));
+  // An empty iteration counts toward a + minimum at any depth.
+  SpanList empties = {{0, 0}, {1, 1}, {2, 2}};
+  EXPECT_EQ(Spans(MustCompile("(x*)+"), "ab"), empties);
+  EXPECT_EQ(Spans(MustCompile("((x*)+)"), "ab"), empties);
+  EXPECT_TRUE(MustCompile("(x*)+").FullMatch(""));
+  EXPECT_TRUE(MustCompile("((x*)+)").FullMatch(""));
+  EXPECT_TRUE(MustCompile("(x*)+").FullMatch("xx"));
+}
+
+TEST(RegexTest, EmptyIterationsCountTowardMinimum) {
+  EXPECT_TRUE(MustCompile("(x*){2}").FullMatch(""));
+  EXPECT_TRUE(MustCompile("(a?){3}").FullMatch("a"));
+  EXPECT_TRUE(MustCompile("(a?){3}").FullMatch("aaa"));
+  EXPECT_FALSE(MustCompile("(a?){3}").FullMatch("aaaa"));
+  EXPECT_TRUE(MustCompile("(a|){2,}b").FullMatch("b"));
+}
+
 // Random patterns over the whole syntax — anchors, \b, nullable
 // alternatives, {0}, negated classes — against random texts.
 class RandomPattern {
@@ -326,6 +359,22 @@ TEST(RegexTest, PrefilterMatchesTryingEveryOffset) {
         EXPECT_EQ(spans[k].begin, expected[k].begin) << "/" << pattern << "/";
         EXPECT_EQ(spans[k].end, expected[k].end) << "/" << pattern << "/";
       }
+    }
+  }
+}
+
+TEST(RegexTest, ParenthesizedPatternMatchesAsItself) {
+  RandomPattern random(20261020);
+  for (int i = 0; i < 500; ++i) {
+    std::string pattern = random.Alternation(/*depth=*/2);
+    Regex re = MustCompile(pattern);
+    Regex grouped = MustCompile("(" + pattern + ")");
+    for (int j = 0; j < 16; ++j) {
+      std::string text = random.Text();
+      ASSERT_EQ(Spans(grouped, text), Spans(re, text))
+          << "/" << pattern << "/ on '" << text << "'";
+      ASSERT_EQ(grouped.FullMatch(text), re.FullMatch(text))
+          << "/" << pattern << "/ on '" << text << "'";
     }
   }
 }

@@ -20,7 +20,6 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/compiled_wrapper.h"
-#include "core/fused_matcher.h"
 #include "core/lr_inductor.h"
 #include "core/wrapper.h"
 #include "core/wrapper_pack.h"
@@ -323,8 +322,6 @@ TEST_F(WrapperPackTest, CorruptBodyNeverCrashesAccessors) {
   std::mt19937_64 rng(20260809);
   std::string corrupt_path = work_ + "/corrupt.pack";
   ThreadPool pool(2);
-  serve::ExtractService::Options fused_off;
-  fused_off.fused = false;
   for (int round = 0; round < 64; ++round) {
     std::string corrupt = *bytes;
     size_t flips = 1 + rng() % 8;
@@ -357,25 +354,26 @@ TEST_F(WrapperPackTest, CorruptBodyNeverCrashesAccessors) {
     (void)(*pack)->Verify();
 
     // And through everything serving builds on them: corrupt records
-    // that still deserialize are compiled, fused by AcBuilder and run.
+    // that still deserialize are compiled and run, the dom_free ones over
+    // one shared StreamPage per attribute=* page.
     serve::WrapperRepository repository(
         serve::WrapperRepository::Options{std::string(), corrupt_path});
     ASSERT_TRUE(repository.Load().ok());
     serve::ExtractService service(&repository, &pool);
-    serve::ExtractService per_attribute(&repository, &pool, fused_off);
+    serve::ExtractService interpreted(
+        &repository, &pool, serve::ExtractService::Options{.fast_path = false});
     auto pin = repository.Pin();
     ASSERT_NE(pin->pack, nullptr);
     for (const std::string& site : site_names) {
       (void)pin->Find(site, "attr_00");
       auto entries = pin->MaterializeSite(site);
+      std::string page = "<span class=\"f1\">x</span><li>y</li>";
       for (const auto& [attribute, entry] : entries) {
         EXPECT_EQ(pin->Find(site, attribute), entry);
-      }
-      std::string page = "<span class=\"f1\">x</span><li>y</li>";
-      if (auto fused = pin->FindFused(site)) {
-        for (const auto& attribute : fused->attributes()) {
-          const auto& plan = *attribute.plan;
-          page += plan.head() + plan.left() + "v" + plan.right() + plan.tail();
+        const core::CompiledWrapper* plan = entry->compiled.get();
+        if (plan != nullptr && plan->dom_free()) {
+          page += plan->head() + plan->left() + "v" + plan->right() +
+                  plan->tail();
         }
       }
       serve::HttpRequest request;
@@ -387,8 +385,8 @@ TEST_F(WrapperPackTest, CorruptBodyNeverCrashesAccessors) {
       EXPECT_TRUE(response.status == 200 || response.status == 400 ||
                   response.status == 404)
           << response.status << ": " << response.body;
-      // Corrupt or not, the fused scan answers as the per-attribute path.
-      serve::HttpResponse reference = per_attribute.Handle(request);
+      // Corrupt or not, the shared StreamPage answers as the interpreter.
+      serve::HttpResponse reference = interpreted.Handle(request);
       EXPECT_EQ(response.status, reference.status);
       EXPECT_EQ(response.body, reference.body);
     }

@@ -13,8 +13,8 @@
 // Crawls from the seed URLs (file:// or http://) through the
 // deduplicating per-domain frontier, extracts every fetched page through
 // the extraction router ntw_serve uses (LR/HLRT and streamable XPath
-// plans stream with no DOM; a site's fused scan runs when it covers two
-// or more delimiter wrappers; the rest, and every page under
+// plans stream with no DOM, a page's StreamPage built once for all of
+// its site's delimiter wrappers; the rest, and every page under
 // --no-fast-path, go to the heap-DOM interpreter), and writes one
 // ntw-crawl-record NDJSON line per (page, attribute) to --out (default
 // stdout) in frontier dispatch order — byte-identical to offline

@@ -580,52 +580,44 @@ int Run(int argc, char** argv) {
                "equivalence: %lld responses byte-identical across paths\n",
                static_cast<long long>(responses_compared));
 
-  // ----- fused gate: attribute=* multi-attribute responses with the
-  // site's fused automaton (one scan for every dom_free attribute) vs
-  // per-attribute extraction, byte-compared before anything is timed.
-  // Reported on stderr only; the committed benchmark JSON is unchanged. --
-  {
-    serve::ExtractService::Options fused_off;  // Defaults, fused disabled.
-    fused_off.fused = false;
-    serve::ExtractService with_fused(&repository, &ThreadPool::Global(),
-                                     serve::ExtractService::Options{});
-    serve::ExtractService without_fused(&repository, &ThreadPool::Global(),
-                                        fused_off);
-    int64_t fused_divergences = 0;
-    for (size_t i = 0; i < page_bodies.size(); ++i) {
-      serve::HttpRequest request;
-      request.method = "POST";
-      request.path = "/extract";
-      request.query.emplace_back("site", page_sites[i]);
-      request.query.emplace_back("attribute", "*");
-      request.body = page_bodies[i];
-      serve::HttpResponse a = with_fused.Handle(request);
-      serve::HttpResponse b = without_fused.Handle(request);
-      if (a.status != b.status || a.body != b.body) {
-        ++fused_divergences;
-        if (fused_divergences <= 3) {
-          std::fprintf(stderr,
-                       "FUSED DIVERGENCE site=%s page=%zu\n"
-                       "  fused: %d %s\n  per-attribute: %d %s\n",
-                       page_sites[i].c_str(), i, a.status, a.body.c_str(),
-                       b.status, b.body.c_str());
-        }
+  // ----- multi-attribute gate: attribute=* responses (one StreamPage
+  // per page for every dom_free attribute) vs the interpreter,
+  // byte-compared before anything is timed. Reported on stderr only; the
+  // committed benchmark JSON is unchanged. ------------------------------
+  int64_t multi_divergences = 0;
+  for (size_t i = 0; i < page_bodies.size(); ++i) {
+    serve::HttpRequest request;
+    request.method = "POST";
+    request.path = "/extract";
+    request.query.emplace_back("site", page_sites[i]);
+    request.query.emplace_back("attribute", "*");
+    request.body = page_bodies[i];
+    serve::HttpResponse a = streaming.Handle(request);
+    serve::HttpResponse b = interpreted.Handle(request);
+    if (a.status != b.status || a.body != b.body) {
+      ++multi_divergences;
+      if (multi_divergences <= 3) {
+        std::fprintf(stderr,
+                     "MULTI-ATTRIBUTE DIVERGENCE site=%s page=%zu\n"
+                     "  streaming: %d %s\n  interp: %d %s\n",
+                     page_sites[i].c_str(), i, a.status, a.body.c_str(),
+                     b.status, b.body.c_str());
       }
     }
-    if (fused_divergences > 0) {
-      std::fprintf(stderr,
-                   "ntw_loadgen: %lld of %zu multi-attribute responses"
-                   " diverge between fused and per-attribute paths\n",
-                   static_cast<long long>(fused_divergences),
-                   page_bodies.size());
-      std::filesystem::remove_all(repo_dir);
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "fused equivalence: %zu attribute=* responses"
-                 " byte-identical with and without the fused scan\n",
-                 page_bodies.size());
   }
+  if (multi_divergences > 0) {
+    std::fprintf(stderr,
+                 "ntw_loadgen: %lld of %zu attribute=* responses diverge"
+                 " between streaming and interpreted paths\n",
+                 static_cast<long long>(multi_divergences),
+                 page_bodies.size());
+    std::filesystem::remove_all(repo_dir);
+    return 1;
+  }
+  std::fprintf(stderr,
+               "multi-attribute equivalence: %zu attribute=* responses"
+               " byte-identical across paths\n",
+               page_bodies.size());
 
   // Pre-serialized request bytes, one per (attribute, site, page).
   auto build_requests = [&](const char* attribute) {

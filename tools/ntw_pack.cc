@@ -8,8 +8,8 @@
 // `build` walks a `<root>/<site>/<attribute>.wrapper` repository tree and
 // serializes it into one memory-mappable pack file: a sorted site
 // directory, a sorted entry directory and an interned string table of
-// attribute names and wrapper records. Plans and fused automata are not
-// stored; the repository rebuilds them from the records. The output is a
+// attribute names and wrapper records. Plans are not stored; the
+// repository compiles them from the records. The output is a
 // pure function of the (site, attribute, record) set — rebuilding from
 // the same tree is bit-identical, which `verify` exploits.
 //

@@ -10,7 +10,7 @@
 //             [--read-timeout-ms N] [--write-timeout-ms N]
 //             [--drain-grace-ms N] [--reload-poll-ms N]
 //             [--metrics-json PATH] [--trace PATH]
-//             [--no-fast-path] [--no-fused] [--quiet]
+//             [--no-fast-path] [--quiet]
 //             [--no-self-heal] [--drift-warmup N] [--drift-window N]
 //             [--drift-empty-streak N] [--drift-hysteresis N]
 //             [--drift-cooldown N] [--drift-retain K]
@@ -39,9 +39,8 @@
 //
 // Endpoints (see DESIGN.md §8):
 //   POST /extract?site=S&attribute=A        body = one HTML page
-//     (attribute=* extracts every attribute of the site; a site with two
-//      or more LR/HLRT wrappers is scanned once by a fused automaton,
-//      built on the site's first such request — --no-fused disables)
+//     (attribute=* extracts every attribute of the site; the page's
+//      StreamPage is built once for all of the site's LR/HLRT wrappers)
 //   POST /extract_batch?site=S&attribute=A  body = NDJSON {"id","html"}
 //   GET  /metrics                           obs registry dump
 //   GET  /healthz
@@ -79,8 +78,8 @@ constexpr char kUsage[] =
     "                 [--max-inflight N] [--read-timeout-ms N]\n"
     "                 [--write-timeout-ms N] [--drain-grace-ms N]\n"
     "                 [--reload-poll-ms N] [--metrics-json PATH]\n"
-    "                 [--trace PATH] [--no-fast-path] [--no-fused]\n"
-    "                 [--quiet] [--no-self-heal] [--drift-warmup N]\n"
+    "                 [--trace PATH] [--no-fast-path] [--quiet]\n"
+    "                 [--no-self-heal] [--drift-warmup N]\n"
     "                 [--drift-window N] [--drift-empty-streak N]\n"
     "                 [--drift-hysteresis N] [--drift-cooldown N]\n"
     "                 [--drift-retain K] [--reinduce-threads N]\n"
@@ -108,7 +107,7 @@ int Run(int argc, char** argv) {
       {"wrapper-dir", "pack", "host", "port", "port-file", "shards",
        "threads", "max-body-bytes", "max-inflight", "read-timeout-ms",
        "write-timeout-ms", "drain-grace-ms", "reload-poll-ms",
-       "metrics-json", "trace", "no-fast-path", "no-fused", "quiet",
+       "metrics-json", "trace", "no-fast-path", "quiet",
        "no-self-heal", "drift-warmup", "drift-window", "drift-empty-streak",
        "drift-hysteresis", "drift-cooldown", "drift-retain",
        "reinduce-threads", "reinduce-queue", "help"});
@@ -245,7 +244,6 @@ int Run(int argc, char** argv) {
   // A/B benchmarking and as the byte-identity cross-check baseline
   // (DESIGN.md §12).
   bool fast_path = !flags.Has("no-fast-path");
-  bool fused = !flags.Has("no-fused");
   // The re-induction worker: one shared queue behind every shard's
   // detector hand-offs. Constructed (and started) only when self-healing
   // is on, so --no-self-heal spawns no extra threads.
@@ -263,11 +261,9 @@ int Run(int argc, char** argv) {
   serve::HttpServer server(
       options,
       serve::HttpServer::HandlerFactory(
-          [&repository, &services, fast_path, fused,
-           reinducer_ptr](int shard) {
+          [&repository, &services, fast_path, reinducer_ptr](int shard) {
             serve::ExtractService::Options service_options;
             service_options.fast_path = fast_path;
-            service_options.fused = fused;
             service_options.shard = shard;
             service_options.self_heal = reinducer_ptr != nullptr;
             services.push_back(std::make_unique<serve::ExtractService>(

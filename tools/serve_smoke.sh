@@ -9,7 +9,7 @@
 # Beside the configured daemon it starts two more over the same wrappers:
 # a --no-fast-path one (the heap-DOM interpreter, the reference) and a
 # --pack one serving an `ntw_pack build` of the tree with an empty
-# overlay directory (streaming and fused scans on). Every /extract and
+# overlay directory (streaming on). Every /extract and
 # /extract_batch answer (single attributes and attribute=*) must be
 # byte-identical across the three.
 # Usage: tools/serve_smoke.sh <build-dir> [shards] [extra daemon flags...]
@@ -35,7 +35,7 @@ if [ "${2:-}" = "--self-heal" ]; then
 else
   SHARDS="${2:-1}"
   # Remaining arguments are passed to the daemon verbatim (path toggles
-  # like --no-fast-path / --no-fused).
+  # like --no-fast-path).
   [ "$#" -ge 2 ] && shift 2 || shift "$#"
 fi
 
@@ -80,8 +80,8 @@ stop_daemon() {
 # The repository: example.com/name extracts <li> text via XPATH (the
 # streaming XPath executor); example.com/name_lr is the equivalent LR
 # delimiter plan and example.com/bold_lr a second LR plan, so the site
-# has two dom_free attributes and attribute=* takes one fused scan. All
-# take the interpreter under --no-fast-path.
+# has two dom_free attributes that attribute=* serves from one StreamPage
+# build. All take the interpreter under --no-fast-path.
 mkdir -p "$WORK/repo/example.com"
 if [ "$SELF_HEAL" -eq 1 ]; then
   # Self-heal scenario: one LR delimiter wrapper that a <b> -> <strong>
@@ -234,13 +234,14 @@ $(cat "$WORK/out_$other/$f")"
   done
 done
 
-# The pack daemon scanned each attribute=* page once with the site's
-# fused automaton: one /extract page plus two batch lines.
+# The pack daemon built one StreamPage per attribute=* page for both
+# dom_free attributes: one /extract page plus two batch lines.
 PACK_METRICS="$(curl -sS --max-time 5 "$PACK/metrics")" \
     || fail "pack daemon metrics request failed"
 case "$PACK_METRICS" in
-  *'"ntw.serve.fused_scans":3'*) ;;
-  *) fail "pack daemon did not fuse-scan the 3 attribute=* pages: $PACK_METRICS" ;;
+  *'"ntw.serve.shared_stream_pages":3'*) ;;
+  *) fail "pack daemon did not build one StreamPage for each of the 3 \
+attribute=* pages: $PACK_METRICS" ;;
 esac
 stop_daemon "$REFERENCE_PID" reference
 stop_daemon "$PACK_PID" pack
